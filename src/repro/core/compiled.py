@@ -23,7 +23,9 @@ The lowering happens in two stages:
   machine's :class:`~repro.core.state.MachineState` through the state's
   mutation listener.  Fiddle edits that change derived quantities (air
   fractions, fan speed) only mark the flow arrays dirty; they are
-  recompiled lazily at the next tick.
+  recompiled lazily at the next tick, and the per-flow coefficients the
+  tick derives from them (and from ``k``) are cached until an edit
+  drops them.
 
 Every arithmetic step mirrors the reference engine's expression order, so
 the two engines agree within 1e-9 °C per tick (see ``tests/golden`` and
@@ -39,6 +41,7 @@ is unavailable.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 try:  # gate the dependency: the package must import without NumPy
@@ -233,7 +236,11 @@ def compile_layout(layout: MachineLayout) -> MachinePlan:
 
 
 class _Group:
-    """All machines sharing one plan, batched along axis 0."""
+    """All machines sharing one plan, batched along axis 0.
+
+    Every array is stored column-major (``order="F"``): the kernel reads
+    and writes whole node columns, which are then contiguous.
+    """
 
     def __init__(self, plan: MachinePlan, members: Sequence[Tuple[str, MachineState]]):
         self.plan = plan
@@ -243,9 +250,12 @@ class _Group:
         self.T = np.array(
             [[s.temperatures[n] for n in plan.node_names] for s in self.states],
             dtype=float,
+            order="F",
         )
         self.k = np.array(
-            [[s.k[key] for key in plan.heat_keys] for s in self.states], dtype=float
+            [[s.k[key] for key in plan.heat_keys] for s in self.states],
+            dtype=float,
+            order="F",
         )
         self.fractions = np.array(
             [
@@ -253,6 +263,7 @@ class _Group:
                 for s in self.states
             ],
             dtype=float,
+            order="F",
         )
         self.fan = np.array([s.fan_cfm for s in self.states], dtype=float)
         self.factor = np.array(
@@ -261,17 +272,19 @@ class _Group:
                 for s in self.states
             ],
             dtype=float,
+            order="F",
         )
         self.util = np.array(
             [[s.utilizations[c] for c in plan.comp_names] for s in self.states],
             dtype=float,
+            order="F",
         )
-        self.flows = np.zeros((m, plan.n_air))
-        self.cap = np.zeros((m, plan.n_air))
-        #: Per air region: True when every machine has positive flow
-        #: there, enabling the unmasked fast path.
-        self.all_flowing = np.zeros(plan.n_air, dtype=bool)
+        self.flows = np.zeros((m, plan.n_air), order="F")
+        self.cap = np.zeros((m, plan.n_air), order="F")
         self.flows_dirty = True
+        #: The kernel's per-``dt`` flow coefficients (see
+        #: :class:`_Coefficients`); None until the next tick builds them.
+        self.coefficients: Optional[_Coefficients] = None
 
     @classmethod
     def from_template(
@@ -291,32 +304,156 @@ class _Group:
         g = cls(plan, [(template.layout.name, template)])
         g.names = []
         g.states = []
-        g.T = np.repeat(g.T, count, axis=0)
-        g.k = np.repeat(g.k, count, axis=0)
-        g.fractions = np.repeat(g.fractions, count, axis=0)
+        g.T = _tile(g.T, count)
+        g.k = _tile(g.k, count)
+        g.fractions = _tile(g.fractions, count)
         g.fan = np.repeat(g.fan, count)
-        g.factor = np.repeat(g.factor, count, axis=0)
-        g.util = np.repeat(g.util, count, axis=0)
-        g.flows = np.zeros((count, plan.n_air))
-        g.cap = np.zeros((count, plan.n_air))
-        g.all_flowing = np.zeros(plan.n_air, dtype=bool)
-        g.flows_dirty = True
+        g.factor = _tile(g.factor, count)
+        g.util = _tile(g.util, count)
+        g.flows = np.zeros((count, plan.n_air), order="F")
+        g.cap = np.zeros((count, plan.n_air), order="F")
         return g
+
+    def apply(self, row: int, field: str, key, value: float) -> bool:
+        """Mirror one :class:`~repro.core.state.MachineState` mutation.
+
+        ``row`` is the machine's row and ``field``/``key``/``value`` the
+        state listener's arguments, so ``partial(group.apply, row)`` is
+        a listener.  A ``k`` edit drops the cached coefficients; a
+        ``fraction`` or ``fan`` edit marks the flows dirty and returns
+        True (the caller owes a recompile).  An edit the plan cannot
+        express (an unknown field or key) raises :class:`KeyError`.
+        """
+        plan = self.plan
+        if field == "temperature":
+            self.T[row, plan.node_index[key]] = value
+        elif field == "utilization":
+            self.util[row, plan.comp_index[key]] = value
+        elif field == "k":
+            self.k[row, plan.heat_key_index[key]] = value
+            self.coefficients = None
+        elif field == "power_scale":
+            self.factor[row, plan.comp_index[key]] = value
+        elif field == "fraction":
+            self.fractions[row, plan.air_edge_index[key]] = value
+            self.flows_dirty = True
+            return True
+        elif field == "fan":
+            self.fan[row] = value
+            self.flows_dirty = True
+            return True
+        else:
+            raise KeyError(field)
+        return False
 
     def rebuild_flows(self) -> None:
         """Recompile per-region flows and heat-capacity rates.
 
         Mirrors ``MachineLayout.air_flow_rates`` followed by
-        ``units.air_heat_capacity_rate`` term for term.
+        ``units.air_heat_capacity_rate`` term for term.  The cached
+        coefficients depend on both, so they are dropped.
         """
         plan = self.plan
         self.flows[:] = 0.0
         self.flows[:, plan.inlet_air] = units.cfm_to_m3s(self.fan)
         for src_air, dst_air, edge_i in plan.flow_steps:
             self.flows[:, dst_air] += self.flows[:, src_air] * self.fractions[:, edge_i]
-        self.cap = (units.AIR_DENSITY * self.flows) * units.AIR_SPECIFIC_HEAT
-        self.all_flowing = (self.cap > 0.0).all(axis=0)
+        self.cap = np.asfortranarray(
+            (units.AIR_DENSITY * self.flows) * units.AIR_SPECIFIC_HEAT
+        )
         self.flows_dirty = False
+        self.coefficients = None
+
+
+def _tile(row, count: int):
+    """``count`` bitwise copies of a one-row array, column-major."""
+    out = np.empty((count, row.shape[1]), order="F")
+    out[:] = row
+    return out
+
+
+class _Coefficients:
+    """The per-flow constants :func:`tick_group` needs for one ``dt``.
+
+    Between edits the model's coefficients are constants (the paper's
+    constant-k Eqs. 1-5), so the mixing weights, stream-exchange factors
+    and two-body terms are computed once here instead of every tick.
+    Every expression is the one the kernel used to evaluate per tick, in
+    the same operand order, so the cached values are bitwise the same.
+    A group drops its cache on :meth:`_Group.rebuild_flows` and on any
+    ``k`` edit; a tick with a different ``dt`` builds a new one.
+    """
+
+    def __init__(self, g: _Group, dt: float) -> None:
+        plan = g.plan
+        n_comps = plan.n_comps
+        k = g.k
+        flows = g.flows
+        cap = g.cap
+        self.dt = dt
+        #: One (column, mixing, exchange) per air region, in flow order.
+        #: ``mixing`` is None for the inlet and stagnant pockets, else
+        #: (((source column, weight), ...), den, mixed); ``exchange`` is
+        #: None without attached components, else (cr*dt, flowing,
+        #: ((component, exp(-k/cr)), ...)).  The ``mixed`` and
+        #: ``flowing`` masks are None when every row mixes or flows.
+        regions = []
+        for air_i in plan.air_order:
+            mixing = None
+            terms = plan.incoming.get(air_i)
+            if air_i != plan.inlet_air and terms:
+                weights = []
+                den = None
+                for src_air, edge_i in terms:
+                    w = flows[:, src_air] * g.fractions[:, edge_i]
+                    weights.append((n_comps + src_air, w))
+                    den = w if den is None else den + w
+                if den.all():
+                    mixing = (tuple(weights), den, None)
+                else:
+                    mixed = den > 0.0
+                    mixing = (tuple(weights), np.where(mixed, den, 1.0), mixed)
+            exchange = None
+            attached = plan.air_heat.get(air_i)
+            if attached:
+                cr = cap[:, air_i]
+                if (cr > 0.0).all():
+                    flowing = None
+                    cr_safe = cr
+                else:
+                    flowing = cr > 0.0
+                    cr_safe = np.where(flowing, cr, 1.0)
+                exchange = (
+                    cr * dt,
+                    flowing,
+                    tuple(
+                        (comp_i, np.exp(-(k[:, edge_i] / cr_safe)))
+                        for comp_i, edge_i in attached
+                    ),
+                )
+            regions.append((n_comps + air_i, mixing, exchange))
+        self.regions = tuple(regions)
+        #: (a, b, c_eff, -expm1(...)) per component-component edge.
+        self.comp_comp = tuple(
+            (a_i, b_i, c_eff, -np.expm1(-k[:, edge_i] * dt / c_eff))
+            for a_i, b_i, edge_i, c_eff in plan.comp_comp
+        )
+        #: (a column, b column, mc_a, mc_b, c_eff, -expm1(...)) per
+        #: air-air edge.
+        air_air = []
+        for a_air, b_air, edge_i in plan.air_air:
+            mc_a = np.maximum(cap[:, a_air] * dt, 1e-9)
+            mc_b = np.maximum(cap[:, b_air] * dt, 1e-9)
+            c_eff = 1.0 / (1.0 / mc_a + 1.0 / mc_b)
+            air_air.append((
+                n_comps + a_air,
+                n_comps + b_air,
+                mc_a,
+                mc_b,
+                c_eff,
+                -np.expm1(-k[:, edge_i] * dt / c_eff),
+            ))
+        self.air_air = tuple(air_air)
 
 
 def tick_group(g: _Group, inlet, dt: float) -> None:
@@ -324,93 +461,66 @@ def tick_group(g: _Group, inlet, dt: float) -> None:
 
     ``inlet`` is the per-row inlet temperature array.  The caller is
     responsible for rebuilding stale flow arrays first (see
-    :meth:`_Group.rebuild_flows`); this function is pure array math.
+    :meth:`_Group.rebuild_flows`); the flow coefficients for ``dt`` are
+    built here on first use and reused until an edit drops them.
 
     Every operation is elementwise along axis 0, so each row's result is
     a pure function of that row's values — stacking more rows (more
     machines, or more *runs* in the sweep batch engine) cannot perturb
     any existing row bitwise.  The only cross-row reads are the
-    ``all_flowing`` / ``den.all()`` reductions, which merely select
-    between two bit-equivalent code paths for the rows that flow.
+    ``all()`` reductions taken when the coefficients are built, which
+    merely select between two bit-equivalent code paths for the rows
+    that flow.
     """
+    coef = g.coefficients
+    if coef is None or coef.dt != dt:
+        coef = g.coefficients = _Coefficients(g, dt)
     plan = g.plan
     T = g.T
     n_comps = plan.n_comps
-    start = T[:, :n_comps].copy()
-    heat = np.zeros_like(start)
-    flows = g.flows
-    cap = g.cap
+    inlet_col = n_comps + plan.inlet_air
+    start = T[:, :n_comps].copy(order="F")
+    heat = np.zeros_like(start, order="F")
 
     # --- intra-machine air traversal (advection + stream exchange) ---
-    for air_i in plan.air_order:
-        col = n_comps + air_i
-        if air_i == plan.inlet_air:
+    for col, mixing, exchange in coef.regions:
+        if col == inlet_col:
             t_air = inlet
+        elif mixing is None:
+            t_air = T[:, col].copy()  # stagnant pocket
         else:
-            terms = plan.incoming.get(air_i)
-            if not terms:
-                t_air = T[:, col].copy()  # stagnant pocket
+            weights, den, mixed = mixing
+            num = None
+            for src_col, w in weights:
+                contrib = T[:, src_col] * w
+                num = contrib if num is None else num + contrib
+            if mixed is None:
+                t_air = num / den
             else:
-                num = None
-                den = None
-                for src_air, edge_i in terms:
-                    w = flows[:, src_air] * g.fractions[:, edge_i]
-                    contrib = T[:, n_comps + src_air] * w
-                    num = contrib if num is None else num + contrib
-                    den = w if den is None else den + w
-                if den.all():
-                    t_air = num / den
-                else:
-                    mixed = den > 0.0
-                    t_air = np.where(
-                        mixed, num / np.where(mixed, den, 1.0), T[:, col]
-                    )
-        attached = plan.air_heat.get(air_i)
-        if attached:
-            cr = cap[:, air_i]
-            if g.all_flowing[air_i]:
-                # Fast path: every machine flows here, no masking.
-                cr_dt = cr * dt
-                for comp_i, edge_i in attached:
-                    body = start[:, comp_i]
-                    t_out = body + (t_air - body) * np.exp(
-                        -(g.k[:, edge_i] / cr)
-                    )
+                t_air = np.where(mixed, num / den, T[:, col])
+        if exchange is not None:
+            cr_dt, flowing, factors = exchange
+            for comp_i, factor in factors:
+                body = start[:, comp_i]
+                t_out = body + (t_air - body) * factor
+                if flowing is None:
                     heat[:, comp_i] -= cr_dt * (t_out - t_air)
                     t_air = t_out
-            else:
-                flowing = cr > 0.0
-                cr_safe = np.where(flowing, cr, 1.0)
-                for comp_i, edge_i in attached:
-                    body = start[:, comp_i]
-                    t_out = body + (t_air - body) * np.exp(
-                        -(g.k[:, edge_i] / cr_safe)
-                    )
-                    q = cr * dt * (t_out - t_air)
+                else:
+                    q = cr_dt * (t_out - t_air)
                     t_air = np.where(flowing, t_out, t_air)
                     heat[:, comp_i] -= np.where(flowing, q, 0.0)
         T[:, col] = t_air
 
     # --- inter-component heat flow + air-air conduction ---
-    for a_i, b_i, edge_i, c_eff in plan.comp_comp:
-        q = (
-            c_eff
-            * (start[:, a_i] - start[:, b_i])
-            * -np.expm1(-g.k[:, edge_i] * dt / c_eff)
-        )
+    for a_i, b_i, c_eff, decay in coef.comp_comp:
+        q = c_eff * (start[:, a_i] - start[:, b_i]) * decay
         heat[:, a_i] -= q
         heat[:, b_i] += q
-    for a_air, b_air, edge_i in plan.air_air:
-        mc_a = np.maximum(cap[:, a_air] * dt, 1e-9)
-        mc_b = np.maximum(cap[:, b_air] * dt, 1e-9)
-        c_eff = 1.0 / (1.0 / mc_a + 1.0 / mc_b)
-        q = (
-            c_eff
-            * (T[:, n_comps + a_air] - T[:, n_comps + b_air])
-            * -np.expm1(-g.k[:, edge_i] * dt / c_eff)
-        )
-        T[:, n_comps + a_air] -= q / mc_a
-        T[:, n_comps + b_air] += q / mc_b
+    for a_col, b_col, mc_a, mc_b, c_eff, decay in coef.air_air:
+        q = c_eff * (T[:, a_col] - T[:, b_col]) * decay
+        T[:, a_col] -= q / mc_a
+        T[:, b_col] += q / mc_b
 
     # --- component self-heating and temperature update ---
     for comp_i, spec in enumerate(plan.power_specs):
@@ -429,9 +539,10 @@ class CompiledEngine:
     """Vectorized tick engine driving a :class:`~repro.core.solver.Solver`.
 
     Owns one :class:`_Group` per distinct layout structure and registers
-    itself as each machine state's mutation listener, so fiddle edits and
-    utilization updates land directly in the arrays (and invalidate the
-    derived flow arrays when needed) without per-tick polling.
+    the group's :meth:`_Group.apply` as each machine state's mutation
+    listener, so fiddle edits and utilization updates land directly in
+    the arrays (and invalidate the derived flow arrays and cached
+    coefficients when needed) without per-tick polling.
     """
 
     #: The solver computes per-machine inlet temperatures and passes them
@@ -460,30 +571,7 @@ class CompiledEngine:
         ]
         for group in self.groups:
             for row, state in enumerate(group.states):
-                state.listener = self._listener(group, row)
-
-    # -- state synchronisation ------------------------------------------
-
-    def _listener(self, group: _Group, row: int):
-        plan = group.plan
-
-        def on_change(field: str, key, value: float) -> None:
-            if field == "temperature":
-                group.T[row, plan.node_index[key]] = value
-            elif field == "utilization":
-                group.util[row, plan.comp_index[key]] = value
-            elif field == "k":
-                group.k[row, plan.heat_key_index[key]] = value
-            elif field == "fraction":
-                group.fractions[row, plan.air_edge_index[key]] = value
-                group.flows_dirty = True
-            elif field == "fan":
-                group.fan[row] = value
-                group.flows_dirty = True
-            elif field == "power_scale":
-                group.factor[row, plan.comp_index[key]] = value
-
-        return on_change
+                state.listener = partial(group.apply, row)
 
     # -- stepping --------------------------------------------------------
 

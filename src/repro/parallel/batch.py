@@ -433,29 +433,12 @@ class BatchPool:
             slot.inlet_plans_obj = slot.solver._inlet_plans
 
     def _listener(self, pool_group: _PoolGroup, slot: _PoolSlot, row: int):
-        plan = pool_group.plan
         group = pool_group.group
 
         def on_change(field: str, key, value: float) -> None:
             try:
-                if field == "temperature":
-                    group.T[row, plan.node_index[key]] = value
-                elif field == "utilization":
-                    group.util[row, plan.comp_index[key]] = value
-                elif field == "k":
-                    group.k[row, plan.heat_key_index[key]] = value
-                elif field == "fraction":
-                    group.fractions[row, plan.air_edge_index[key]] = value
-                    group.flows_dirty = True
+                if group.apply(row, field, key, value):
                     pool_group.dirty.add(slot)
-                elif field == "fan":
-                    group.fan[row] = value
-                    group.flows_dirty = True
-                    pool_group.dirty.add(slot)
-                elif field == "power_scale":
-                    group.factor[row, plan.comp_index[key]] = value
-                else:
-                    raise KeyError(field)
             except KeyError:
                 # A mutation the shared plan cannot express (structural
                 # edit): the state dict already holds the new value, so

@@ -234,7 +234,9 @@ class FlatSolver:
         """Restore a :meth:`checkpoint` (same topology and layout).
 
         JSON serializes floats with round-trip precision, so a restore
-        from parsed JSON reproduces every array bit-for-bit.
+        from parsed JSON reproduces every array bit-for-bit.  A
+        checkpoint that does not fit this room raises
+        :class:`~repro.errors.TopologyError` before anything changes.
         """
         g = self.group
         T = np.array(data["T"], dtype=float)
@@ -244,13 +246,24 @@ class FlatSolver:
             raise TopologyError("checkpoint shape does not match this solver")
         if prev.shape != self.prev_exhaust.shape:
             raise TopologyError("checkpoint shape does not match this solver")
+        overrides: Dict[int, float] = {}
+        for key, value in data["inlet_overrides"].items():
+            try:
+                row = int(key)
+            except ValueError:
+                raise TopologyError(
+                    f"checkpoint inlet override row {key!r} is not an integer"
+                ) from None
+            if not 0 <= row < self.n:
+                raise TopologyError(
+                    f"checkpoint inlet override row {row} is out of range "
+                    f"for {self.n} machines"
+                )
+            overrides[row] = float(value)
         g.T[:] = T
         g.util[:] = util
         self.prev_exhaust = prev
-        self.inlet_overrides = {
-            int(row): float(value)
-            for row, value in data["inlet_overrides"].items()
-        }
+        self.inlet_overrides = overrides
         self.operator.restore(data["topology"])
         self.time = float(data["time"])
         self.iterations = int(data["iterations"])
@@ -716,15 +729,26 @@ class ScaleSimulation:
             raise TopologyError(
                 f"unsupported scale checkpoint version {version!r}"
             )
+        n = self.solver.n
+        arrays = {
+            "weights": np.array(data["weights"], dtype=float),
+            "caps": np.array(data["caps"], dtype=float),
+            "power": np.array(data["power"], dtype=np.int64),
+            "boot_remaining": np.array(data["boot_remaining"], dtype=float),
+            "allocated": np.array(data["allocated"], dtype=float),
+        }
+        for key, values in arrays.items():
+            if values.shape != (n,):
+                raise TopologyError(
+                    f"checkpoint {key} shape {values.shape} does not match "
+                    f"this room of {n} machines"
+                )
         self.solver.restore(data["solver"])
-        weights = np.array(data["weights"], dtype=float)
-        if weights.shape != self.weights.shape:
-            raise TopologyError("checkpoint shape does not match this room")
-        self.weights = weights
-        self.caps = np.array(data["caps"], dtype=float)
-        self.power = np.array(data["power"], dtype=np.int64)
-        self._boot_remaining = np.array(data["boot_remaining"], dtype=float)
-        self._last_allocated = np.array(data["allocated"], dtype=float)
+        self.weights = arrays["weights"]
+        self.caps = arrays["caps"]
+        self.power = arrays["power"]
+        self._boot_remaining = arrays["boot_remaining"]
+        self._last_allocated = arrays["allocated"]
         self._inlet_cursor = int(data["inlet_cursor"])
         for row in range(self.solver.n):
             self.solver.set_power_factor(

@@ -113,3 +113,17 @@ class TestCheckpoint:
         other = FlatSolver(grid_topology(4, zones=2, machines_per_rack=2))
         with pytest.raises(TopologyError, match="shape"):
             flat.restore(other.checkpoint())
+
+    @pytest.mark.parametrize("row", ["-1", str(MACHINES), "machine1"])
+    def test_restore_rejects_bad_inlet_override_row(self, row):
+        flat = FlatSolver(room())
+        flat.step(3)
+        data = flat.checkpoint()
+        data["inlet_overrides"] = {row: 45.0}
+        before = flat.group.T.copy()
+        with pytest.raises(TopologyError, match="inlet override row"):
+            flat.restore(data)
+        # Nothing was applied, so the room still steps.
+        assert np.array_equal(flat.group.T, before)
+        assert flat.inlet_overrides == {}
+        flat.step()

@@ -101,6 +101,17 @@ class TestCheckpoint:
         with pytest.raises(TopologyError, match="version"):
             sim.restore(data)
 
+    @pytest.mark.parametrize(
+        "key", ["weights", "caps", "power", "boot_remaining", "allocated"]
+    )
+    def test_restore_rejects_short_per_machine_array(self, key):
+        sim = ScaleSimulation(room(), duration=60.0)
+        sim.step(5)
+        data = json.loads(json.dumps(sim.checkpoint()))
+        data[key] = data[key][:-1]
+        with pytest.raises(TopologyError, match=f"{key} shape"):
+            sim.restore(data)
+
 
 class TestOfferedRatesShape:
     def test_matches_scalar_diurnal_shape(self):
