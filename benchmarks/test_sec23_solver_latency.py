@@ -9,11 +9,8 @@ of the real SCSI in-disk sensor.
 import statistics
 import time
 
-import pytest
-
 from repro.config import table1
 from repro.config.layouts import validation_cluster, validation_machine
-from repro.core.compiled import have_numpy
 from repro.core.solver import Solver
 from repro.sensors.api import SensorConnection
 from repro.sensors.server import SensorService, UdpSensorServer
@@ -126,7 +123,6 @@ def _ticks_per_second(engine: str, n_machines: int) -> float:
     return ticks / elapsed
 
 
-@pytest.mark.skipif(not have_numpy(), reason="compiled engine needs numpy")
 def test_sec23_engine_comparison():
     """Write BENCH_solver.json: python vs compiled throughput by size."""
     results = {}

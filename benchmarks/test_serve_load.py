@@ -4,7 +4,7 @@ Two measurements of the live thermal service under concurrent load, on
 one asyncio event loop (the deployment shape of ``repro serve``):
 
 * ``datagrams`` — several async clients blast sensor queries at an
-  :class:`~repro.serve.datagrams.AsyncUdpSensorServer` as fast as
+  :class:`~repro.sensors.server.AsyncUdpSensorServer` as fast as
   replies come back (closed loop, so every datagram counted was also
   answered).  The gate: sustained throughput over the floor.
 

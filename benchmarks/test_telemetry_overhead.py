@@ -20,11 +20,8 @@ Writes ``benchmark_results/BENCH_telemetry.json`` for the CI artifact.
 
 import time
 
-import pytest
-
 from repro.config import table1
 from repro.config.layouts import validation_cluster
-from repro.core.compiled import have_numpy
 from repro.core.solver import Solver
 from repro.telemetry import Telemetry
 
@@ -67,7 +64,6 @@ def _round_ticks_per_second(solver) -> float:
     return TICKS / (time.perf_counter() - start)
 
 
-@pytest.mark.skipif(not have_numpy(), reason="compiled engine needs numpy")
 def test_telemetry_overhead_gate():
     solvers = {
         "baseline": _make_solver(None),

@@ -17,7 +17,7 @@ setup(
     long_description=open("README.md").read(),
     long_description_content_type="text/markdown",
     python_requires=">=3.9",
-    install_requires=["numpy", "scipy", "networkx"],
+    install_requires=["numpy", "scipy"],
     extras_require={"test": ["pytest", "pytest-benchmark", "hypothesis"]},
     package_dir={"": "src"},
     packages=find_packages(where="src"),

@@ -75,6 +75,7 @@ from .fiddle.script import events_from_script
 from .mdot.loader import load_file
 from .mdot.writer import to_graphviz
 from .parallel import (
+    STRATEGIES,
     expand_grid,
     fig11_grid,
     scenario_grid,
@@ -301,11 +302,10 @@ def _build_parser() -> argparse.ArgumentParser:
         help="worker processes (1 = run serially in-process)",
     )
     sweep.add_argument(
-        "--strategy", choices=("auto", "batch", "fork"), default="auto",
+        "--strategy", choices=STRATEGIES, default="batch",
         help="execution strategy: batch = vectorize compiled runs "
-             "through one stacked solver, fork = one worker per run, "
-             "auto = batch when NumPy is available (all strategies "
-             "produce byte-identical artifacts)",
+             "through one stacked solver, fork = one worker per run "
+             "(both produce byte-identical artifacts)",
     )
     sweep.add_argument(
         "--output", default="sweep.json", metavar="PATH",

@@ -25,10 +25,7 @@ import enum
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Tuple
 
-try:  # NumPy is optional: only the vectorized allocator needs it
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised only on minimal installs
-    np = None
+import numpy as np
 
 from ..errors import ClusterError, ServerStateError
 
@@ -407,8 +404,6 @@ def allocate_rates(offered_rate: float, weights, ceilings):
     The water-filling rounds converge because every round either places
     all remaining load or permanently closes at least one server.
     """
-    if np is None:
-        raise ClusterError("allocate_rates requires NumPy")
     if offered_rate < 0.0:
         raise ClusterError("offered rate must be non-negative")
     weights = np.asarray(weights, dtype=float)
@@ -449,8 +444,6 @@ def allocate_rates_cloned(offered_rate, weights, ceilings, config):
     Returns ``(rates, dropped, latency_scale, cloned)`` with ``rates``
     in work units and ``dropped`` in request units.
     """
-    if np is None:
-        raise ClusterError("allocate_rates_cloned requires NumPy")
     multiplier = config.work_multiplier
     cloned = config.clones > 1
     if cloned and offered_rate > 0.0:

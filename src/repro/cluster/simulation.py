@@ -33,6 +33,8 @@ from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from ..config import table1
 from ..config.layouts import validation_cluster
+from ..control import TraditionalControlPolicy
+from ..control import build as _build_control
 from ..control import names as _policy_names
 from ..core.solver import Solver
 from ..daemons.admd import Admd
@@ -48,7 +50,6 @@ from ..fiddle.script import ScriptRunner, parse_script
 from ..freon.ec import AdmdEC
 from ..freon.policy import FreonConfig
 from ..freon.regions import RegionMap, two_region_split
-from ..freon.traditional import TraditionalPolicy
 from ..kernel import Event, EventKernel
 from ..sensors.server import SensorService
 from ..telemetry import ensure as _ensure_telemetry
@@ -465,7 +466,7 @@ class ClusterSimulation:
 
     def _build_policy(self, regions: Optional[RegionMap]) -> None:
         self.admd: Optional[Admd] = None
-        self.traditional: Optional[TraditionalPolicy] = None
+        self.traditional: Optional[TraditionalControlPolicy] = None
         self.tempds: Dict[str, Tempd] = {}
         self.governors: Dict[str, "DvfsGovernor"] = {}
         if self.policy == "none":
@@ -484,13 +485,10 @@ class ClusterSimulation:
                 )
             return
         if self.policy == "traditional":
-            self.traditional = TraditionalPolicy(
-                readers={
-                    name: self._temperature_reader(name) for name in self.machines
-                },
-                turn_off=self.request_off,
-                config=self.config,
-                is_on=lambda name: self.webservers[name].is_on,
+            # Built from the control registry and driven through this
+            # simulation's state view (see _ev_policy).
+            self.traditional = _build_control(
+                "traditional", "cluster", config=self.config
             )
             return
         if self.policy == "freon":
@@ -827,34 +825,11 @@ class ClusterSimulation:
         self.kernel.schedule(now + dt, PRIORITY_TICK, "tick")
 
     def _solver_tick(self) -> None:
+        utils_changed = self._feed_monitord()
         if not self.fast_forward:
-            self._feed_monitord()
             self.solver.step()
             return
-        # One pass replaces _feed_monitord: feed the solver only when a
-        # machine's utilization actually moved (set_utilizations is
-        # idempotent, so skipping repeats changes nothing), and use the
-        # same comparison to detect input quiescence.  _ff_mark_dirty
-        # clears _ff_last_utils, so any out-of-band solver mutation
-        # forces a full re-feed on the next tick.
-        utils_changed = False
-        last = self._ff_last_utils
-        active = (
-            self.injector.monitord_active if self.injector.any_active else None
-        )
-        feed = self.solver.set_utilizations
-        for name, ws in self.webservers.items():
-            if active is not None and not active(name):
-                continue
-            load = ws.load
-            pair = (load.cpu_utilization, load.disk_utilization)
-            if last.get(name) != pair:
-                utils_changed = True
-                last[name] = pair
-                feed(
-                    name,
-                    {table1.CPU: pair[0], table1.DISK_PLATTERS: pair[1]},
-                )
+        # The feed's change flag doubles as the input-quiescence test.
         if self._ff_dirty or utils_changed:
             self._ff_dirty = False
             self._ff_quiet = 0
@@ -880,14 +855,18 @@ class ClusterSimulation:
                 )
                 self._ff_next_probe = self._ff_quiet + self._ff_backoff
 
-    def _feed_monitord(self) -> None:
-        # monitord path: utilizations into the Mercury solver.  A stalled
-        # or crashed monitord leaves the solver holding that machine's
-        # previous utilizations (stale data, as in life).  Machines whose
-        # pair matches the last fed values are skipped — set_utilizations
-        # is idempotent, and _ff_mark_dirty clears _ff_last_utils on
-        # every path that can touch the solver out of band (commands,
-        # faults, power changes), forcing a full re-feed.
+    def _feed_monitord(self) -> bool:
+        """Feed utilizations to the solver; True if any machine's moved.
+
+        The monitord path into Mercury.  A stalled or crashed monitord
+        leaves the solver holding that machine's previous utilizations
+        (stale data, as in life).  Machines whose pair matches the last
+        fed values are skipped — set_utilizations is idempotent, and
+        _ff_mark_dirty clears _ff_last_utils on every path that can
+        touch the solver out of band (commands, faults, power changes),
+        forcing a full re-feed.
+        """
+        changed = False
         last = self._ff_last_utils
         active = (
             self.injector.monitord_active if self.injector.any_active else None
@@ -899,11 +878,13 @@ class ClusterSimulation:
             load = ws.load
             pair = (load.cpu_utilization, load.disk_utilization)
             if last.get(name) != pair:
+                changed = True
                 last[name] = pair
                 feed(
                     name,
                     {table1.CPU: pair[0], table1.DISK_PLATTERS: pair[1]},
                 )
+        return changed
 
     def _ff_mark_dirty(self) -> None:
         """An input to the thermal model changed: stop any coasting."""
@@ -1016,7 +997,7 @@ class ClusterSimulation:
         )
 
     def _ev_policy(self, event: Event) -> None:
-        self.traditional.check(event.time)
+        self.traditional.wake(self.state_view(), event.time)
         self.kernel.schedule(
             event.time + self.config.monitor_period, PRIORITY_POLICY, "policy"
         )
@@ -1127,8 +1108,10 @@ class ClusterSimulation:
     # -- checkpoint / restore ------------------------------------------------
 
     #: Checkpoint format version; bumped on incompatible layout changes.
-    #: Version 2 added the pending event queue (the kernel refactor).
-    CHECKPOINT_VERSION = 2
+    #: Version 2 added the pending event queue (the kernel refactor);
+    #: version 3 stores the traditional policy's own checkpoint (dead
+    #: machines and shutdowns, no cadence clock).
+    CHECKPOINT_VERSION = 3
 
     def checkpoint(self) -> Dict[str, object]:
         """Snapshot the entire simulation as plain JSON-able data.
@@ -1183,13 +1166,9 @@ class ClusterSimulation:
             for name, tempd in self.tempds.items()
         }
         admd_state = self._admd_checkpoint() if self.admd is not None else None
-        traditional_state = None
-        if self.traditional is not None:
-            traditional_state = {
-                "elapsed": self.traditional._elapsed,
-                "shutdowns": [asdict(s) for s in self.traditional.shutdowns],
-                "dead": sorted(self.traditional._dead),
-            }
+        traditional_state = (
+            None if self.traditional is None else self.traditional.checkpoint()
+        )
         governor_state = {
             name: {
                 "index": g.index,
@@ -1297,14 +1276,7 @@ class ClusterSimulation:
         if self.admd is not None and data["admd"] is not None:
             self._admd_restore(data["admd"])
         if self.traditional is not None and data["traditional"] is not None:
-            saved = data["traditional"]
-            self.traditional._elapsed = float(saved["elapsed"])
-            from ..freon.traditional import Shutdown
-
-            self.traditional.shutdowns = [
-                Shutdown(**s) for s in saved["shutdowns"]
-            ]
-            self.traditional._dead = set(saved["dead"])
+            self.traditional.restore(data["traditional"])
         for name, saved in data["governors"].items():
             governor = self.governors.get(name)
             if governor is None:

@@ -24,12 +24,8 @@ import random
 from dataclasses import dataclass
 from typing import List, Sequence
 
-try:  # NumPy is optional: only diurnal_shape_array needs it
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised only on minimal installs
-    _np = None
+import numpy as _np
 
-from ..errors import ClusterError
 from .webserver import RequestMix
 
 
@@ -137,8 +133,6 @@ def diurnal_shape_array(t, duration: float, plateau: float = 0.75):
     simulation evaluates per-machine phase-shifted copies of the curve
     through this function.
     """
-    if _np is None:
-        raise ClusterError("diurnal_shape_array requires NumPy")
     if duration <= 0.0:
         raise ValueError("duration must be positive")
     if not 0.0 < plateau <= 1.0:

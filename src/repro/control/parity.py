@@ -31,10 +31,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-try:
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised only on minimal installs
-    np = None
+import numpy as np
 
 from ..errors import TopologyError
 
@@ -74,8 +71,6 @@ class ScalarRoomSolver:
         from ..core.solver import Solver
         from ..topology.recirculation import RecirculationOperator
 
-        if np is None:
-            raise TopologyError("the scalar parity room requires NumPy")
         if layout is not None:
             raise TopologyError(
                 "the scalar parity room builds its own per-machine layouts"

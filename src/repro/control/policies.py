@@ -40,12 +40,10 @@ from __future__ import annotations
 
 import math
 from collections import deque
+from dataclasses import asdict
 from typing import Deque, Dict, List, Optional, Tuple
 
-try:  # NumPy is required for the unified policies; imports stay gated
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised only on minimal installs
-    np = None
+import numpy as np
 
 from ..config import table1
 from ..errors import ControlError
@@ -111,8 +109,6 @@ class FreonPolicy(ControlPolicy):
     _ec_mode = False
 
     def __init__(self, config: Optional[FreonConfig] = None) -> None:
-        if np is None:
-            raise ControlError("unified policies require NumPy")
         self.config = config or FreonConfig()
         #: Component classes, in the config's (dict) order — the same
         #: order tempd's reader dict iterates.
@@ -632,17 +628,16 @@ class FreonECPolicy(FreonPolicy):
 class TraditionalControlPolicy(ControlPolicy):
     """The traditional comparison point: shut red-lined servers down.
 
-    Unified form of :class:`~repro.freon.traditional.TraditionalPolicy`:
-    machines stay dead for the rest of the run.  Failed (``NaN``) reads
-    are skipped — a blind traditional controller takes no action, which
-    is exactly its weakness under sensor faults.
+    Section 5.1: "we turned servers off when the temperature of their
+    CPUs crossed T_r."  Machines stay dead for the rest of the run; if
+    the survivors cannot carry the load, requests are dropped.  Failed
+    (``NaN``) reads are skipped — a blind traditional controller takes
+    no action, which is exactly its weakness under sensor faults.
     """
 
     name = "traditional"
 
     def __init__(self, config: Optional[FreonConfig] = None) -> None:
-        if np is None:
-            raise ControlError("unified policies require NumPy")
         self.config = config or FreonConfig()
         self.classes: Tuple[str, ...] = tuple(self.config.thresholds)
         self.shutdowns: List[Shutdown] = []
@@ -679,10 +674,14 @@ class TraditionalControlPolicy(ControlPolicy):
                     break
 
     def checkpoint(self) -> Dict[str, object]:
-        return {"dead": sorted(self._dead)}
+        return {
+            "dead": sorted(self._dead),
+            "shutdowns": [asdict(s) for s in self.shutdowns],
+        }
 
     def restore(self, data: Dict[str, object]) -> None:
         self._dead = set(data["dead"])
+        self.shutdowns = [Shutdown(**s) for s in data["shutdowns"]]
 
 
 class EmergencyPolicy(ControlPolicy):
@@ -700,8 +699,6 @@ class EmergencyPolicy(ControlPolicy):
     name = "emergency"
 
     def __init__(self, config: Optional[FreonConfig] = None) -> None:
-        if np is None:
-            raise ControlError("unified policies require NumPy")
         self.config = config or FreonConfig()
         self.classes: Tuple[str, ...] = tuple(self.config.thresholds)
         #: Rows this policy powered off (candidates for recovery).

@@ -34,10 +34,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Protocol, Sequence, Tuple
 
-try:  # NumPy is required for the array views; imports stay gated
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised only on minimal installs
-    np = None
+import numpy as np
 
 from ..errors import ControlError, SensorError
 
@@ -47,11 +44,6 @@ POWER_OFF = 0
 POWER_BOOTING = 1
 POWER_ACTIVE = 2
 POWER_DRAINING = 3
-
-
-def _require_numpy() -> None:
-    if np is None:
-        raise ControlError("machine-state views require NumPy")
 
 
 class MachineStateView(Protocol):
@@ -130,7 +122,6 @@ class ClusterStateView:
     """
 
     def __init__(self, simulation) -> None:
-        _require_numpy()
         self._sim = simulation
         self.machines: Tuple[str, ...] = tuple(simulation.machines)
         self._regions = {
@@ -262,7 +253,6 @@ class FlatStateView:
     _NODES: Dict[str, str] = {}
 
     def __init__(self, simulation) -> None:
-        _require_numpy()
         from ..config import table1
 
         if not FlatStateView._NODES:

@@ -18,7 +18,7 @@ from .power import (
     ScaledPowerModel,
     TablePowerModel,
 )
-from .compiled import CompiledSolver, MachinePlan, compile_layout, have_numpy
+from .compiled import CompiledSolver, MachinePlan, compile_layout
 from .solver import DEFAULT_DT, ENGINES, Solver
 from .state import History, MachineState, Sample
 from .trace import TimedEvent, UtilizationTrace, run_offline
@@ -29,6 +29,6 @@ __all__ = [
     "HeatEdge", "History", "LinearPowerModel", "MachineLayout", "MachinePlan",
     "MachineState", "PowerModel", "Sample", "ScaledPowerModel", "Solver",
     "TablePowerModel", "TimedEvent", "UtilizationTrace", "compile_layout",
-    "have_numpy", "run_offline",
+    "run_offline",
     "DEFAULT_SERVER_CURVE", "FanController", "FanCurve",
 ]

@@ -33,10 +33,6 @@ the two engines agree within 1e-9 °C per tick (see ``tests/golden`` and
 temperatures are written back into the per-machine state dicts, so sensor
 reads, History recording, and the fiddle tool see exactly the same
 surface as with the reference engine.
-
-NumPy is optional at import time: constructing a solver with
-``engine="compiled"`` raises :class:`~repro.errors.SolverError` when it
-is unavailable.
 """
 
 from __future__ import annotations
@@ -44,10 +40,7 @@ from __future__ import annotations
 from functools import partial
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-try:  # gate the dependency: the package must import without NumPy
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised only on minimal installs
-    np = None
+import numpy as np
 
 from .. import units
 from ..errors import SolverError
@@ -55,11 +48,6 @@ from .graph import ClusterLayout, MachineLayout
 from .power import ConstantPowerModel, LinearPowerModel, PowerModel, TablePowerModel
 from .solver import DEFAULT_DT, Solver
 from .state import MachineState
-
-
-def have_numpy() -> bool:
-    """True when the compiled engine can actually run."""
-    return np is not None
 
 
 def _power_signature(model: PowerModel) -> Tuple:
@@ -105,10 +93,6 @@ class MachinePlan:
     """
 
     def __init__(self, layout: MachineLayout) -> None:
-        if np is None:
-            raise SolverError(
-                "the compiled engine requires NumPy; use engine='python'"
-            )
         self.signature = layout_signature(layout)
         self.comp_names: Tuple[str, ...] = tuple(layout.components)
         self.air_names: Tuple[str, ...] = tuple(layout.air_regions)
@@ -555,10 +539,6 @@ class CompiledEngine:
     measure_host_latency = True
 
     def __init__(self, solver: Solver) -> None:
-        if np is None:
-            raise SolverError(
-                "engine='compiled' requires NumPy; use engine='python'"
-            )
         self._solver = solver
         by_signature: Dict[Tuple, List[Tuple[str, MachineState]]] = {}
         plans: Dict[Tuple, MachinePlan] = {}

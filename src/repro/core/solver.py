@@ -77,7 +77,7 @@ class Solver:
     engine:
         ``"python"`` (reference dict-loop implementation) or
         ``"compiled"`` (vectorized NumPy implementation from
-        :mod:`repro.core.compiled`; requires NumPy).
+        :mod:`repro.core.compiled`).
     telemetry:
         An optional :class:`repro.telemetry.Telemetry`; when given, the
         solver records per-tick latency, node-update counts, and (for

@@ -4,7 +4,8 @@
 called admd."  In-process experiments hand :class:`TempdMessage` values
 straight to ``Admd.deliver``; this module provides the wire path for
 deployments where tempd really runs on each server: a compact JSON
-datagram encoding, a listener thread on the admd side, and a sender
+datagram encoding, the admd-side endpoint (:class:`AsyncAdmdListener` on
+an event loop, :class:`AdmdListener` for blocking callers), and a sender
 handle for the tempd side.
 
 JSON (rather than a packed struct) is used deliberately: Freon messages
@@ -17,12 +18,10 @@ from __future__ import annotations
 
 import json
 import socket
-import socketserver
-import threading
 from typing import Callable, Optional, Tuple
 
 from ..errors import SensorError
-from ..faults.backoff import DAEMON_JOIN_TIMEOUT, SERVER_POLL_INTERVAL
+from ..sensors.server import DatagramEndpoint, ThreadedEndpoint
 from ..telemetry import ensure as _ensure_telemetry
 from .tempd import TempdMessage
 
@@ -126,29 +125,16 @@ class TempdSender:
         self.close()
 
 
-class _AdmdHandler(socketserver.BaseRequestHandler):
-    def handle(self) -> None:  # pragma: no cover - exercised via sockets
-        data, _sock = self.request
-        server = self.server
-        try:
-            message = decode_message(data)
-        except SensorError:
-            server.malformed += 1  # type: ignore[attr-defined]
-            server.tel_malformed.inc()  # type: ignore[attr-defined]
-            return
-        with server.deliver_lock:  # type: ignore[attr-defined]
-            server.deliver(message)  # type: ignore[attr-defined]
-            server.received += 1  # type: ignore[attr-defined]
-            server.tel_received.inc()  # type: ignore[attr-defined]
-
-
-class AdmdListener:
+class AsyncAdmdListener(DatagramEndpoint):
     """admd's side: a UDP endpoint feeding ``deliver`` with messages.
 
-    ``deliver`` is typically ``Admd.deliver``; calls are serialized with
-    an internal lock, since the threading server may handle datagrams
-    from several tempds concurrently.
+    Runs on the running event loop, which serializes datagrams, so
+    ``deliver`` (typically ``Admd.deliver``) is never called
+    concurrently.  :class:`AdmdListener` is the same endpoint behind a
+    blocking API.
     """
+
+    kind = "admd"
 
     def __init__(
         self,
@@ -158,77 +144,36 @@ class AdmdListener:
         telemetry=None,
     ) -> None:
         telemetry = _ensure_telemetry(telemetry)
-        self._server = socketserver.ThreadingUDPServer((host, port), _AdmdHandler)
-        self._server.deliver = deliver  # type: ignore[attr-defined]
-        self._server.deliver_lock = threading.Lock()  # type: ignore[attr-defined]
-        self._server.received = 0  # type: ignore[attr-defined]
-        self._server.malformed = 0  # type: ignore[attr-defined]
-        self._server.tel_received = telemetry.counter(  # type: ignore[attr-defined]
-            "freon_udp_messages_received_total",
-            help="tempd messages received and delivered to admd.",
+        super().__init__(
+            host,
+            port,
+            telemetry.counter(
+                "freon_udp_messages_received_total",
+                help="tempd messages received and delivered to admd.",
+            ),
+            telemetry.counter(
+                "freon_udp_messages_malformed_total",
+                help="UDP datagrams dropped as malformed.",
+            ),
         )
-        self._server.tel_malformed = telemetry.counter(  # type: ignore[attr-defined]
-            "freon_udp_messages_malformed_total",
-            help="UDP datagrams dropped as malformed.",
-        )
-        self._thread: Optional[threading.Thread] = None
-        self._closed = False
+        self.deliver = deliver
 
-    @property
-    def address(self) -> Tuple[str, int]:
-        """The (host, port) tempds should send to."""
-        return self._server.server_address  # type: ignore[return-value]
+    def handle(self, data: bytes) -> None:
+        self.deliver(decode_message(data))
 
-    @property
-    def port(self) -> int:
-        """The actually-bound port (useful with ephemeral ``port=0``)."""
-        return self.address[1]
 
-    @property
-    def received(self) -> int:
-        """Messages delivered so far."""
-        return self._server.received  # type: ignore[attr-defined]
+class AdmdListener(ThreadedEndpoint):
+    """admd's UDP endpoint for blocking callers.
 
-    @property
-    def malformed(self) -> int:
-        """Datagrams dropped as malformed."""
-        return self._server.malformed  # type: ignore[attr-defined]
+    The same endpoint as :class:`AsyncAdmdListener`, run on one private
+    event-loop thread; ``address`` is what tempds should send to.
+    """
 
-    def start(self) -> "AdmdListener":
-        """Start serving on a daemon thread."""
-        if self._closed:
-            raise SensorError("listener already stopped")
-        if self._thread is not None:
-            raise SensorError("listener already started")
-        self._thread = threading.Thread(
-            target=self._server.serve_forever,
-            kwargs={"poll_interval": SERVER_POLL_INTERVAL},
-            daemon=True,
-        )
-        self._thread.start()
-        return self
-
-    def stop(self) -> None:
-        """Shut down, join the listener thread, and release the socket.
-
-        Idempotent and exception-safe: extra calls are no-ops, the
-        socket is always closed even if the shutdown handshake raises,
-        and a listener that was never started still releases the socket
-        it bound in ``__init__`` (so pool workers cannot leak it).
-        """
-        if self._closed:
-            return
-        self._closed = True
-        thread, self._thread = self._thread, None
-        try:
-            if thread is not None:
-                self._server.shutdown()
-                thread.join(timeout=DAEMON_JOIN_TIMEOUT)
-        finally:
-            self._server.server_close()
-
-    def __enter__(self) -> "AdmdListener":
-        return self.start()
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.stop()
+    def __init__(
+        self,
+        deliver: Callable[[TempdMessage], None],
+        host: str = "127.0.0.1",
+        port: int = 0,
+        telemetry=None,
+    ) -> None:
+        super().__init__(AsyncAdmdListener(deliver, host, port, telemetry))

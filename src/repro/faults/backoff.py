@@ -60,9 +60,3 @@ class BackoffPolicy:
 
 #: The policy every UDP client uses unless told otherwise.
 DEFAULT_BACKOFF = BackoffPolicy()
-
-#: How long daemon threads (UDP listeners/servers) get to shut down.
-DAEMON_JOIN_TIMEOUT = 5.0
-
-#: serve_forever poll interval for all background UDP servers.
-SERVER_POLL_INTERVAL = 0.05

@@ -9,12 +9,12 @@ from .controller import ControllerBank, PDController
 from .local import DEFAULT_PSTATES, DvfsGovernor, PStateChange
 from .policy import ComponentThresholds, FreonConfig, weight_for_share_reduction
 from .regions import RegionMap, two_region_split
-from .traditional import Shutdown, TraditionalPolicy
+from .traditional import Shutdown
 
 __all__ = [
     "AdmdEC", "ComponentThresholds", "ControllerBank", "EcEvent",
     "FreonConfig", "PDController", "RegionMap", "Shutdown",
-    "TraditionalPolicy", "two_region_split", "weight_for_share_reduction",
+    "two_region_split", "weight_for_share_reduction",
     "DEFAULT_PSTATES", "DvfsGovernor", "PStateChange",
 ]
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple
 
-from ..errors import ClusterError
+from ..errors import ClusterError, SensorError
 from ..telemetry import ensure as _ensure_telemetry
 
 #: A Pentium-4-era P-state ladder: (frequency ratio, power ratio).
@@ -149,8 +149,15 @@ class DvfsGovernor:
         return self.decide()
 
     def decide(self) -> bool:
-        """One thermostat decision; returns True on a P-state change."""
-        temperature = self._read()
+        """One thermostat decision; returns True on a P-state change.
+
+        A failed sensor read holds the current P-state for this period,
+        as tempd's stale hold does.
+        """
+        try:
+            temperature = self._read()
+        except SensorError:
+            return False
         new_index = self.index
         if temperature > self.high and self.index < len(self.pstates) - 1:
             new_index = self.index + 1

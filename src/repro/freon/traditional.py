@@ -1,18 +1,15 @@
-"""The traditional thermal-emergency policy: shut hot servers down.
+"""The record the traditional thermal-emergency policy keeps.
 
 Section 5.1's comparison point: "we also ran an experiment assuming the
 traditional approach to handling emergencies, i.e. we turned servers off
-when the temperature of their CPUs crossed T_r."  Machines stay off for
-the remainder of the run; if the survivors cannot carry the load,
-requests are dropped (the paper measured 14% of the trace dropped).
+when the temperature of their CPUs crossed T_r."  The policy itself is
+:class:`~repro.control.policies.TraditionalControlPolicy`, which runs on
+both simulation stacks; each shutdown it makes is one :class:`Shutdown`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
-
-from .policy import FreonConfig
 
 
 @dataclass(frozen=True)
@@ -23,52 +20,3 @@ class Shutdown:
     machine: str
     component: str
     temperature: float
-
-
-class TraditionalPolicy:
-    """Turn a server off the moment any component crosses its red line."""
-
-    def __init__(
-        self,
-        readers: Dict[str, Callable[[], Dict[str, float]]],
-        turn_off: Callable[[str], None],
-        config: Optional[FreonConfig] = None,
-        is_on: Optional[Callable[[str], bool]] = None,
-    ) -> None:
-        self._readers = dict(readers)
-        self._turn_off = turn_off
-        self.config = config or FreonConfig()
-        self._is_on = is_on or (lambda name: True)
-        self._elapsed = 0.0
-        self.shutdowns: List[Shutdown] = []
-        self._dead: set = set()
-
-    def tick(self, dt: float, now: float) -> List[Shutdown]:
-        """Advance the clock; check temperatures once per monitor period."""
-        self._elapsed += dt
-        if self._elapsed + 1e-9 < self.config.monitor_period:
-            return []
-        self._elapsed = 0.0
-        return self.check(now)
-
-    def check(self, now: float) -> List[Shutdown]:
-        """Read every live server's temperatures; shut down red-liners."""
-        fired: List[Shutdown] = []
-        for machine, reader in self._readers.items():
-            if machine in self._dead or not self._is_on(machine):
-                continue
-            temperatures = reader()
-            for component, temperature in temperatures.items():
-                if temperature >= self.config.red(component):
-                    self._turn_off(machine)
-                    self._dead.add(machine)
-                    event = Shutdown(
-                        time=now,
-                        machine=machine,
-                        component=component,
-                        temperature=temperature,
-                    )
-                    self.shutdowns.append(event)
-                    fired.append(event)
-                    break
-        return fired

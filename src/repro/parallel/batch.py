@@ -34,10 +34,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-try:  # gate the dependency, like repro.core.compiled
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised only on minimal installs
-    np = None
+import numpy as np
 
 from ..cluster.simulation import ClusterSimulation
 from ..core import physics
@@ -46,7 +43,6 @@ from ..core.compiled import (
     MachinePlan,
     _Group,
     compile_layout,
-    have_numpy,
     tick_group,
 )
 from ..errors import SweepError
@@ -55,7 +51,6 @@ from .spec import RunSpec
 #: Eviction reasons, recorded per evicted run for tests and logging.
 EVICT_ENGINE = "engine"              #: spec does not use the compiled engine
 EVICT_CRASH_HOOK = "crash_hook"      #: crash_at needs the worker-crash path
-EVICT_NO_NUMPY = "no_numpy"          #: NumPy unavailable on this host
 EVICT_OPAQUE_POWER = "opaque_power_model"  #: plan cannot batch the model
 EVICT_DT = "dt_mismatch"             #: member ticks on a different grid
 EVICT_STRUCTURAL = "structural_edit"  #: mid-run mutation outside the plan
@@ -86,8 +81,6 @@ def partition_specs(
             # Topology inlets come from a per-room recirculation operator;
             # the pool's shared inter-machine pass cannot express them.
             evicted.append((spec, EVICT_TOPOLOGY))
-        elif not have_numpy():
-            evicted.append((spec, EVICT_NO_NUMPY))
         else:
             eligible.append(spec)
     return eligible, evicted
@@ -303,8 +296,6 @@ class BatchPool:
     """
 
     def __init__(self, dt: float) -> None:
-        if np is None:
-            raise SweepError("the batch strategy requires NumPy")
         self.dt = dt
         self._slots: List[_PoolSlot] = []
         self._groups: Dict[Tuple, _PoolGroup] = {}
@@ -553,12 +544,12 @@ class BatchRunner:
                     f"through the fork path"
                 )
         dt = self.members[0].simulation.dt if self.members else 1.0
-        self.pool = BatchPool(dt) if have_numpy() else None
+        self.pool = BatchPool(dt)
         #: How many pool evictions this runner has already folded into
         #: its members' ``pooled`` flags.
         self._evictions_seen = 0
         for member in self.members:
-            if self.pool is not None and not member.finished:
+            if not member.finished:
                 member.pooled = self.pool.adopt(member.simulation)
 
     def run_ticks(self, ticks: Optional[int] = None) -> int:
@@ -574,7 +565,7 @@ class BatchRunner:
                 break
             for member in live:
                 member.simulation._run_until_tick()
-            if self.pool is not None and len(self.pool):
+            if len(self.pool):
                 self.pool.flush()
             self._reconcile_evictions(live)
             finished_pooled = []
@@ -609,7 +600,7 @@ class BatchRunner:
         member keeps running on its private engine — only the flag (and
         therefore the finish-time retirement) changes.
         """
-        if self.pool is None or len(self.pool.evictions) == self._evictions_seen:
+        if len(self.pool.evictions) == self._evictions_seen:
             return
         evicted = {
             id(simulation)

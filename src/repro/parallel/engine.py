@@ -35,7 +35,7 @@ from ..cluster.simulation import (
     emergency_script,
 )
 from ..config.layouts import validation_cluster
-from ..core.compiled import compile_layout, have_numpy
+from ..core.compiled import compile_layout
 from ..errors import SweepError
 from ..faults import derive_seed
 from ..freon.policy import ComponentThresholds, FreonConfig
@@ -300,9 +300,8 @@ def _worker(payload: Dict[str, object]) -> Dict[str, object]:
         }
 
 
-#: Valid ``sweep(..., strategy=)`` values.  ``auto`` picks ``batch``
-#: whenever NumPy is available and falls back to ``fork`` otherwise.
-STRATEGIES = ("auto", "batch", "fork")
+#: Valid ``sweep(..., strategy=)`` values.
+STRATEGIES = ("batch", "fork")
 
 
 def _fan_out(specs: Sequence[RunSpec], workers: int) -> List[RunResult]:
@@ -376,7 +375,7 @@ def _batch_worker(payloads: List[Dict[str, object]]) -> List[Dict[str, object]]:
 def sweep(
     specs: Sequence[RunSpec],
     workers: int = 1,
-    strategy: str = "auto",
+    strategy: str = "batch",
 ) -> Dict[str, object]:
     """Run every spec and return the merged artifact.
 
@@ -387,7 +386,6 @@ def sweep(
       vectorized solver (:mod:`repro.parallel.batch`); runs the batch
       cannot express fall back to the fork path.  ``workers`` then fans
       out across signature *batches*, not runs.
-    * ``"auto"`` — ``batch`` when NumPy is available, else ``fork``.
 
     All strategies produce byte-identical artifacts; the property-test
     harness in ``tests/parallel/test_batch_equivalence.py`` holds them
@@ -402,8 +400,6 @@ def sweep(
     ids = [s.run_id for s in specs]
     if len(set(ids)) != len(ids):
         raise SweepError("duplicate run_ids in sweep")
-    if strategy == "auto":
-        strategy = "batch" if have_numpy() else "fork"
     if strategy == "fork":
         return merge_results(_fan_out(specs, workers))
 

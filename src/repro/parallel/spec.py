@@ -298,32 +298,6 @@ def fig11_grid(
     return grid
 
 
-def scale_grid(
-    machines: int = 200,
-    duration: float = 1200.0,
-    policies: Optional[Sequence[str]] = None,
-    scenario: str = "none",
-) -> Dict[str, object]:
-    """A flattened-datacenter policy comparison grid.
-
-    One :class:`~repro.topology.sim.ScaleSimulation` run per policy on
-    a ``machines``-sized grid room (``cluster_size`` doubles as the
-    room size on the scale stack).  Defaults to every scale-capable
-    registry policy.
-    """
-    if policies is None:
-        policies = _policy_names("scale")
-    return {
-        "base": {
-            "stack": "scale",
-            "scenario": scenario,
-            "duration": float(duration),
-            "cluster_size": int(machines),
-        },
-        "axes": {"policy": list(policies)},
-    }
-
-
 def threshold_grid(
     highs: Sequence[float] = (65.0, 67.0, 69.0),
     duration: float = 2000.0,

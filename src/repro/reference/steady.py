@@ -55,16 +55,6 @@ class SteadyResult:
         cells = self.mesh.block_cells(name)
         return float(np.max([self.temperatures[y, x] for x, y in cells]))
 
-    def mean_air_temperature(self) -> float:
-        """Mean temperature over all air cells."""
-        mask = np.array(
-            [
-                [self.mesh.is_air(x, y) for x in range(self.mesh.nx)]
-                for y in range(self.mesh.ny)
-            ]
-        )
-        return float(np.mean(self.temperatures[mask]))
-
     def outlet_temperature(self) -> float:
         """Flow-weighted air temperature leaving the right edge."""
         mesh = self.mesh

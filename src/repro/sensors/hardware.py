@@ -20,18 +20,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional
+from typing import Callable
 
 
 class PhysicalSensor:
-    """One imperfect temperature sensor attached to a true-value source.
-
-    ``fault_hook`` is an optional transform applied to the finished
-    reading — the attachment point for :mod:`repro.faults` (stuck-at,
-    dropout, spikes) on the physical-sensor path.  It receives the
-    quantized reading and returns the value actually reported; it may
-    raise :class:`~repro.errors.SensorError` to model a dead sensor.
-    """
+    """One imperfect temperature sensor attached to a true-value source."""
 
     def __init__(
         self,
@@ -41,7 +34,6 @@ class PhysicalSensor:
         noise_std: float = 0.15,
         latency: float = 500e-6,
         seed: int = 0,
-        fault_hook: Optional[Callable[[float], float]] = None,
     ) -> None:
         if resolution <= 0.0:
             raise ValueError("resolution must be positive")
@@ -58,30 +50,16 @@ class PhysicalSensor:
         self._bias = rng.gauss(0.0, accuracy / 3.0) if accuracy > 0.0 else 0.0
         self._bias = max(-accuracy, min(accuracy, self._bias))
         self._rng = rng
-        self.fault_hook = fault_hook
 
     @property
     def bias(self) -> float:
         """The sensor's fixed calibration offset (Celsius)."""
         return self._bias
 
-    def set_fault_hook(
-        self, hook: Optional[Callable[[float], float]]
-    ) -> None:
-        """Install (or clear, with None) the fault-injection transform."""
-        self.fault_hook = hook
-
     def read(self) -> float:
-        """One reading: true value + bias + noise, quantized to resolution.
-
-        Any installed fault hook transforms (or rejects) the reading
-        after quantization, exactly where a broken transducer would.
-        """
+        """One reading: true value + bias + noise, quantized to resolution."""
         value = self._source() + self._bias + self._rng.gauss(0.0, self.noise_std)
-        value = round(value / self.resolution) * self.resolution
-        if self.fault_hook is not None:
-            value = self.fault_hook(value)
-        return value
+        return round(value / self.resolution) * self.resolution
 
 
 @dataclass(frozen=True)

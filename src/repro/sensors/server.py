@@ -9,9 +9,12 @@ a thread-safe facade with two faces:
 
 * an **in-process** face (:meth:`handle_query`, :meth:`handle_update`)
   used by the simulation harness and most tests;
-* a **UDP** face (:class:`UdpSensorServer`) binding a real socket on
-  localhost, used by integration tests and the latency benchmark — the
-  same datagrams a remote monitord/sensor-library would send.
+* a **UDP** face binding a real socket on localhost — the same
+  datagrams a remote monitord/sensor-library would send.  One endpoint
+  implementation serves it: :class:`AsyncUdpSensorServer` on a running
+  asyncio loop (the live service), and :class:`UdpSensorServer`, the
+  same endpoint on a private loop thread for blocking callers
+  (integration tests and the latency benchmark).
 
 Sensor names resolve through an alias table (``"cpu" -> "CPU"``,
 ``"disk" -> "Disk Platters"``, ...) so callers can use the short names of
@@ -20,14 +23,12 @@ the paper's Figure 3 example.
 
 from __future__ import annotations
 
-import socket
-import socketserver
+import asyncio
 import threading
 from typing import TYPE_CHECKING, Dict, Mapping, Optional, Tuple
 
 from ..core.solver import Solver
-from ..errors import SensorError, UnknownSensorError
-from ..faults.backoff import DAEMON_JOIN_TIMEOUT, SERVER_POLL_INTERVAL
+from ..errors import SensorError, ServeError, UnknownSensorError
 from ..telemetry import ensure as _ensure_telemetry
 from . import protocol
 
@@ -217,81 +218,258 @@ class SensorService:
         self.apply_utilizations(update.machine, update.utilizations)
 
 
-class _UdpHandler(socketserver.BaseRequestHandler):
-    def handle(self) -> None:  # pragma: no cover - exercised via sockets
-        data, sock = self.request
-        service: SensorService = self.server.service  # type: ignore[attr-defined]
-        try:
-            if len(data) == protocol.QUERY_SIZE:
-                reply = service.handle_query(data)
-                sock.sendto(reply, self.client_address)
-            elif len(data) == protocol.UPDATE_SIZE:
-                service.handle_update(data)
-            # anything else: drop silently, like a real UDP service
-        except SensorError:
-            pass
 
 
-class UdpSensorServer:
-    """A localhost UDP endpoint serving sensor queries and updates.
+class DatagramEndpoint(asyncio.DatagramProtocol):
+    """One UDP endpoint of a wire protocol, on an asyncio event loop.
 
-    Runs a ``ThreadingUDPServer`` on a background thread.  Use as a
-    context manager, or call :meth:`start`/:meth:`stop`.
+    The sensor endpoint here and admd's endpoint in
+    :mod:`repro.daemons.transport` share everything but the payload:
+    binding in :meth:`start` (an ephemeral port by default), the
+    actually-bound ``address``/``port``, an idempotent :meth:`stop` that
+    releases the socket, and the counts.  A subclass implements
+    :meth:`handle`, which returns the reply for an accepted datagram (or
+    ``None``) and raises :class:`SensorError` to reject one.
+    ``received`` counts accepted datagrams, ``replied`` the replies
+    sent, and ``malformed`` the rejected datagrams.
+
+    Lifecycle misuse (double start, start after stop, ``address`` while
+    not started) raises :class:`ServeError`.
     """
 
-    def __init__(self, service: SensorService, host: str = "127.0.0.1",
-                 port: int = 0) -> None:
-        self.service = service
-        self._server = socketserver.ThreadingUDPServer((host, port), _UdpHandler)
-        self._server.service = service  # type: ignore[attr-defined]
-        self._thread: Optional[threading.Thread] = None
-        self._closed = False
+    #: Names the endpoint in lifecycle errors.
+    kind = "datagram"
+
+    def __init__(self, host: str, port: int, tel_received, tel_malformed) -> None:
+        self._host = host
+        self._port = port
+        self._transport: Optional[asyncio.DatagramTransport] = None
+        self._stopped = False
+        self._tel_received = tel_received
+        self._tel_malformed = tel_malformed
+        self.received = 0
+        self.replied = 0
+        self.malformed = 0
+
+    def handle(self, data: bytes) -> Optional[bytes]:
+        """Serve one datagram; raise :class:`SensorError` to reject it."""
+        raise NotImplementedError
+
+    def connection_made(self, transport) -> None:
+        self._transport = transport
+
+    def datagram_received(self, data: bytes, addr) -> None:
+        try:
+            reply = self.handle(data)
+        except SensorError:
+            # Dropped silently, like a real UDP service, but counted.
+            self.malformed += 1
+            self._tel_malformed.inc()
+            return
+        self.received += 1
+        self._tel_received.inc()
+        if reply is not None:
+            self.replied += 1
+            self._transport.sendto(reply, addr)
 
     @property
     def address(self) -> Tuple[str, int]:
-        """The (host, port) the server is bound to."""
-        return self._server.server_address  # type: ignore[return-value]
+        """The actually-bound (host, port); the endpoint must be started."""
+        if self._transport is None:
+            raise ServeError(f"{self.kind} endpoint not started")
+        return self._transport.get_extra_info("sockname")[:2]
 
     @property
     def port(self) -> int:
         """The actually-bound port (useful with ephemeral ``port=0``)."""
         return self.address[1]
 
-    def start(self) -> "UdpSensorServer":
-        """Start serving on a daemon thread."""
-        if self._closed:
-            raise SensorError("server already stopped")
+    async def start(self) -> "DatagramEndpoint":
+        """Bind the socket on the running loop and start serving."""
+        if self._transport is not None:
+            raise ServeError(f"{self.kind} endpoint already started")
+        if self._stopped:
+            raise ServeError(f"{self.kind} endpoint already stopped")
+        await asyncio.get_running_loop().create_datagram_endpoint(
+            lambda: self, local_addr=(self._host, self._port)
+        )
+        return self
+
+    async def stop(self) -> None:
+        """Release the socket.  Idempotent, with or without a start."""
+        self._stopped = True
+        transport, self._transport = self._transport, None
+        if transport is not None:
+            # abort() drops unsent replies and closes the socket on the
+            # loop's next pass; one yield lets that run, so the port is
+            # free again when stop() returns.
+            transport.abort()
+            await asyncio.sleep(0)
+
+    async def __aenter__(self) -> "DatagramEndpoint":
+        return await self.start()
+
+    async def __aexit__(self, *exc_info: object) -> None:
+        await self.stop()
+
+
+def _run_loop(loop: asyncio.AbstractEventLoop) -> None:
+    try:
+        loop.run_forever()
+    finally:
+        # Join the resolver thread a hostname bind starts, so a stopped
+        # endpoint leaves no thread behind.
+        loop.run_until_complete(loop.shutdown_default_executor())
+        loop.close()
+
+
+class ThreadedEndpoint:
+    """A :class:`DatagramEndpoint` behind a blocking start/stop API.
+
+    Runs the endpoint on one private event-loop thread, for callers
+    without an event loop (the Figure 3 sensor library, monitord,
+    tests).  :meth:`start` binds the socket; :meth:`stop` releases it
+    and joins the thread.  Lifecycle misuse raises :class:`SensorError`.
+    Use as a context manager, or call :meth:`start`/:meth:`stop`.
+    """
+
+    def __init__(self, endpoint: DatagramEndpoint) -> None:
+        self._endpoint = endpoint
+        self._loop: Optional[asyncio.AbstractEventLoop] = None
+        self._thread: Optional[threading.Thread] = None
+        self._stopped = False
+
+    @property
+    def address(self) -> Tuple[str, int]:
+        """The actually-bound (host, port); the endpoint must be started."""
+        if self._thread is None:
+            raise SensorError(f"{self._endpoint.kind} endpoint not started")
+        return self._endpoint.address
+
+    @property
+    def port(self) -> int:
+        """The actually-bound port (useful with ephemeral ``port=0``)."""
+        return self.address[1]
+
+    @property
+    def received(self) -> int:
+        """Datagrams accepted so far."""
+        return self._endpoint.received
+
+    @property
+    def malformed(self) -> int:
+        """Datagrams rejected so far."""
+        return self._endpoint.malformed
+
+    def start(self) -> "ThreadedEndpoint":
+        """Bind the socket and serve it from the loop thread."""
+        kind = self._endpoint.kind
+        if self._stopped:
+            raise SensorError(f"{kind} endpoint already stopped")
         if self._thread is not None:
-            raise SensorError("server already started")
+            raise SensorError(f"{kind} endpoint already started")
+        self._loop = asyncio.new_event_loop()
         self._thread = threading.Thread(
-            target=self._server.serve_forever,
-            kwargs={"poll_interval": SERVER_POLL_INTERVAL},
+            target=_run_loop, args=(self._loop,), name=f"{kind}-endpoint",
             daemon=True,
         )
         self._thread.start()
+        try:
+            asyncio.run_coroutine_threadsafe(
+                self._endpoint.start(), self._loop
+            ).result()
+        except BaseException:
+            self.stop()  # a failed bind leaves no thread behind
+            raise
         return self
 
     def stop(self) -> None:
-        """Shut the server down, join its thread, and release the socket.
+        """Release the socket and join the loop thread.
 
-        Idempotent and exception-safe: extra calls are no-ops, the
-        socket is always closed even if the shutdown handshake raises,
-        and a server that was never started still releases the socket
-        it bound in ``__init__`` (so pool workers cannot leak it).
+        Idempotent, with or without a prior :meth:`start`.  If the
+        endpoint's teardown raises, the thread is still stopped and
+        joined before the error propagates.
         """
-        if self._closed:
+        if self._stopped:
             return
-        self._closed = True
-        thread, self._thread = self._thread, None
+        self._stopped = True
+        loop, thread = self._loop, self._thread
+        self._loop = self._thread = None
+        if thread is None:
+            return
         try:
-            if thread is not None:
-                self._server.shutdown()
-                thread.join(timeout=DAEMON_JOIN_TIMEOUT)
+            asyncio.run_coroutine_threadsafe(
+                self._endpoint.stop(), loop
+            ).result()
         finally:
-            self._server.server_close()
+            loop.call_soon_threadsafe(loop.stop)
+            thread.join()
 
-    def __enter__(self) -> "UdpSensorServer":
+    def __enter__(self) -> "ThreadedEndpoint":
         return self.start()
 
     def __exit__(self, *exc_info: object) -> None:
         self.stop()
+
+
+class AsyncUdpSensorServer(DatagramEndpoint):
+    """The sensor service's UDP endpoint on the running event loop.
+
+    Answers ``SensorQuery`` datagrams with ``SensorReply`` and applies
+    ``UtilizationUpdate`` datagrams.  The wrapped
+    :class:`SensorService` keeps its internal lock, so one service may
+    serve several endpoints and in-process callers at once.
+
+    Use as an async context manager, or call :meth:`start`/:meth:`stop`::
+
+        server = await AsyncUdpSensorServer(service).start()
+        host, port = server.address
+        ...
+        await server.stop()
+    """
+
+    kind = "sensor"
+
+    def __init__(
+        self,
+        service: SensorService,
+        host: str = "127.0.0.1",
+        port: int = 0,
+        telemetry=None,
+    ) -> None:
+        telemetry = _ensure_telemetry(telemetry)
+        super().__init__(
+            host,
+            port,
+            telemetry.counter(
+                "serve_sensor_datagrams_total",
+                help="Sensor datagrams accepted (queries answered, updates "
+                     "applied); malformed ones are counted apart.",
+            ),
+            telemetry.counter(
+                "serve_sensor_datagrams_malformed_total",
+                help="Sensor datagrams dropped as malformed or unservable.",
+            ),
+        )
+        self.service = service
+
+    def handle(self, data: bytes) -> Optional[bytes]:
+        if len(data) == protocol.QUERY_SIZE:
+            return self.service.handle_query(data)
+        if len(data) == protocol.UPDATE_SIZE:
+            self.service.handle_update(data)
+            return None
+        raise SensorError(f"no sensor message is {len(data)} bytes long")
+
+
+class UdpSensorServer(ThreadedEndpoint):
+    """A localhost UDP endpoint serving sensor queries and updates.
+
+    The blocking face of :class:`AsyncUdpSensorServer`: the same
+    endpoint, run on one private event-loop thread.
+    """
+
+    def __init__(self, service: SensorService, host: str = "127.0.0.1",
+                 port: int = 0) -> None:
+        super().__init__(AsyncUdpSensorServer(service, host, port))
+        self.service = service

@@ -12,16 +12,18 @@ hosting a :class:`~repro.cluster.simulation.ClusterSimulation` on the
 * :class:`~.alerts.AlertEngine` — threshold rules over T_h with
   hysteresis and a firing -> acknowledged -> resolved lifecycle, loaded
   from TOML/JSON files, exported as telemetry;
-* :class:`~.datagrams.AsyncUdpSensorServer` /
-  :class:`~.datagrams.AsyncAdmdListener` — the sensor and tempd -> admd
-  wire protocols on asyncio datagram transports, so thousands of
-  concurrent sensor flows share the loop with the scrape plane.
+* :class:`~repro.sensors.server.AsyncUdpSensorServer` /
+  :class:`~repro.daemons.transport.AsyncAdmdListener` — the sensor and
+  tempd -> admd wire endpoints on the running loop, so thousands of
+  concurrent sensor flows share it with the scrape plane.
 
 ``repro serve`` on the command line wires it all together.
 """
 
 from __future__ import annotations
 
+from ..daemons.transport import AsyncAdmdListener
+from ..sensors.server import AsyncUdpSensorServer
 from .alerts import (
     AlertEngine,
     AlertRule,
@@ -30,7 +32,6 @@ from .alerts import (
     load_rules,
     parse_rules,
 )
-from .datagrams import AsyncAdmdListener, AsyncUdpSensorServer
 from .http import (
     EventStream,
     HttpServer,

@@ -9,9 +9,9 @@ runs.  Two loops share one process without threads:
   real-time-paced (``pace`` simulated seconds per wall second) or
   free-running (``pace=0``, yield between chunks);
 * the **I/O loop** is asyncio: the HTTP routes below, the SSE broadcast,
-  and (optionally) the :mod:`repro.serve.datagrams` UDP endpoints all
-  interleave with the simulation chunks, so a scrape never blocks a tick
-  and a tick never blocks a scrape for longer than one chunk.
+  and (optionally) the sensor and admd UDP endpoints all interleave
+  with the simulation chunks, so a scrape never blocks a tick and a
+  tick never blocks a scrape for longer than one chunk.
 
 Routes::
 

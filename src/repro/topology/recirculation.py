@@ -33,10 +33,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Mapping, Optional, Tuple
 
-try:  # NumPy is optional: the scalar path must work without it
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised only on minimal installs
-    np = None
+import numpy as np
 
 from ..errors import TopologyError
 from .model import Topology, _SUM_TOLERANCE
@@ -170,10 +167,6 @@ class RecirculationOperator:
         unbuffered in edge order, matching :meth:`inlet`'s scalar
         accumulation bitwise.
         """
-        if np is None:
-            raise TopologyError(
-                "the vectorized recirculation path requires NumPy"
-            )
         if self._dirty:
             self._compile()
         out = self._frac_arr * self._supply_arr

@@ -44,10 +44,7 @@ from __future__ import annotations
 import shlex
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-try:  # NumPy is required for the flattened path; imports stay gated
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised only on minimal installs
-    np = None
+import numpy as np
 
 from ..config import table1
 from ..config.layouts import validation_machine
@@ -59,7 +56,7 @@ from ..control import (
 )
 from ..control import build as _build_policy
 from ..control import get as _get_policy
-from ..core.compiled import _Group, compile_layout, have_numpy, tick_group
+from ..core.compiled import _Group, compile_layout, tick_group
 from ..core.graph import MachineLayout
 from ..core.state import MachineState
 from ..cluster.lvs import CloningConfig, allocate_rates, allocate_rates_cloned
@@ -78,8 +75,9 @@ from .recirculation import RecirculationOperator
 
 #: Checkpoint format version for :class:`ScaleSimulation`.  Version 2
 #: added power states, concurrency caps, boot timers, inlet-event
-#: cursors, and the policy's own state.
-CHECKPOINT_VERSION = 2
+#: cursors, and the policy's own state; version 3 adds the traditional
+#: policy's shutdown records to that state.
+CHECKPOINT_VERSION = 3
 
 #: Boot behavior mirroring :class:`~repro.cluster.webserver.WebServer`:
 #: a booting machine burns full CPU and most of its disk for
@@ -137,10 +135,6 @@ class FlatSolver:
         dt: float = 1.0,
         initial_temperature: Optional[float] = None,
     ) -> None:
-        if not have_numpy():
-            raise TopologyError(
-                "the flattened solver requires NumPy"
-            )
         if dt <= 0.0:
             raise TopologyError("dt must be positive")
         if layout is None:

@@ -79,6 +79,23 @@ class TestLocalDvfsPolicy:
         sim2_changes = [c.index for c in result.pstate_changes]
         assert max(sim2_changes) >= 1
 
+    def test_sensor_dropout_run_completes(self):
+        # A dropped-out CPU sensor must not crash the run: machine1's
+        # governor holds its P-state through every failed read, while
+        # machine3's governor still answers its own emergency.
+        script = (
+            "fault machine1 sensor dropout cpu\n"
+            + emergency_script(time=100.0)
+        )
+        sim = ClusterSimulation(
+            policy="local-dvfs", fiddle_script=script,
+            trace=constant_trace(290.0, 2100.0),
+        )
+        result = sim.run(2000)
+        assert len(result.records) == 2000
+        assert sim.governors["machine1"].changes == []
+        assert sim.governors["machine3"].changes
+
     def test_throttled_machine_burns_utilization(self):
         # Section 4.3's cost of local throttling: at the same request
         # rate the throttled machine's CPU busy fraction is higher than

@@ -13,7 +13,6 @@ import pytest
 
 from repro.config import table1
 from repro.config.layouts import validation_cluster, validation_machine
-from repro.core.compiled import have_numpy
 from repro.core.graph import ClusterAirEdge, ClusterLayout, CoolingSource
 from repro.core.solver import Solver
 from repro.errors import UnknownNodeError
@@ -109,7 +108,6 @@ def test_fiddle_cluster_fraction_verb():
     assert solver._cluster_fractions[("m1", "m2")] == 0.9
 
 
-@pytest.mark.skipif(not have_numpy(), reason="compiled engine needs numpy")
 def test_cluster_fraction_edit_matches_across_engines():
     reference = _solver(recirculating_cluster(), engine="python")
     compiled = _solver(recirculating_cluster(), engine="compiled")

@@ -12,10 +12,8 @@ edits, machine power-off — and demand node-for-node agreement within
 
 import random
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.compiled import have_numpy
 from repro.core.graph import (
     AirEdge,
     AirRegion,
@@ -32,10 +30,6 @@ from repro.core.power import (
     TablePowerModel,
 )
 from repro.core.solver import Solver
-
-pytestmark = pytest.mark.skipif(
-    not have_numpy(), reason="compiled engine needs numpy"
-)
 
 TOLERANCE = 1e-9
 

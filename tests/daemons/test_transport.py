@@ -1,5 +1,6 @@
 """Tests for the tempd -> admd UDP transport."""
 
+import threading
 import time
 
 import pytest
@@ -11,12 +12,15 @@ from repro.daemons.tempd import MSG_ADJUST, MSG_STATUS, Tempd, TempdMessage
 from repro.daemons.transport import (
     MAX_MESSAGE_BYTES,
     AdmdListener,
+    AsyncAdmdListener,
     TempdSender,
     decode_message,
     encode_message,
 )
 from repro.errors import SensorError
 from repro.freon.policy import FreonConfig
+
+from ..sensors.test_server import free_port, port_is_free
 
 
 def sample_message():
@@ -167,25 +171,31 @@ class TestShutdownLifecycle:
     """Pool workers tear transports down on every path; none may leak."""
 
     def test_start_close_close_under_traffic(self):
-        # Close while the worker thread is blocked in its recv loop, then
-        # close again: both must return cleanly and release the socket.
+        # Close while the loop thread serves, then close again: both
+        # must return cleanly, join the thread and release the port.
         balancer = LoadBalancer(["machine1"])
         admd = Admd(balancer)
+        threads = threading.active_count()
         listener = AdmdListener(admd.deliver).start()
-        sender = TempdSender(listener.address)
-        sender(sample_message())
-        assert _wait_for(lambda: listener.received == 1)
+        host, port = listener.address
+        with TempdSender(listener.address) as sender:
+            sender(sample_message())
+            assert _wait_for(lambda: listener.received == 1)
         listener.stop()
         listener.stop()
-        assert listener._server.socket.fileno() == -1
+        assert threading.active_count() == threads
+        assert port_is_free(host, port)
 
     def test_stop_without_start_releases_socket(self):
-        # __init__ binds the socket; a listener that never served must
-        # still release it on stop.
-        listener = AdmdListener(lambda m: None)
+        # Binding happens in start(): a listener that never served never
+        # holds its port and leaves no thread behind.
+        port = free_port()
+        threads = threading.active_count()
+        listener = AdmdListener(lambda m: None, port=port)
         listener.stop()
-        assert listener._server.socket.fileno() == -1
         listener.stop()  # still idempotent
+        assert threading.active_count() == threads
+        assert port_is_free("127.0.0.1", port)
 
     def test_start_after_stop_rejected(self):
         listener = AdmdListener(lambda m: None).start()
@@ -193,18 +203,21 @@ class TestShutdownLifecycle:
         with pytest.raises(SensorError):
             listener.start()
 
-    def test_stop_closes_socket_even_if_shutdown_raises(self):
+    def test_stop_closes_socket_even_if_shutdown_raises(self, monkeypatch):
+        original_stop = AsyncAdmdListener.stop
+
+        async def exploding_stop(self):
+            await original_stop(self)
+            raise OSError("simulated teardown failure")
+
+        monkeypatch.setattr(AsyncAdmdListener, "stop", exploding_stop)
+        threads = threading.active_count()
         listener = AdmdListener(lambda m: None).start()
-        original_shutdown = listener._server.shutdown
-
-        def exploding_shutdown():
-            original_shutdown()
-            raise OSError("simulated shutdown failure")
-
-        listener._server.shutdown = exploding_shutdown
+        host, port = listener.address
         with pytest.raises(OSError):
             listener.stop()
-        assert listener._server.socket.fileno() == -1
+        assert threading.active_count() == threads
+        assert port_is_free(host, port)
         listener.stop()  # second close after a failed one is a no-op
 
     def test_sender_double_close_and_send_after_close(self):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import ClusterError
+from repro.errors import ClusterError, SensorError
 from repro.freon.local import DEFAULT_PSTATES, DvfsGovernor
 
 
@@ -10,8 +10,11 @@ class Harness:
     def __init__(self, temperature=50.0):
         self.temperature = temperature
         self.applied = []
+        self.dropout = False
 
     def read(self):
+        if self.dropout:
+            raise SensorError("injected dropout")
         return self.temperature
 
     def apply(self, frequency, power):
@@ -85,6 +88,17 @@ class TestThermostat:
         harness, governor = make(temperature=50.0)
         assert governor.decide() is False
         assert governor.index == 0
+
+    def test_failed_read_holds_pstate(self):
+        harness, governor = make(temperature=70.0)
+        governor.decide()
+        harness.dropout = True
+        harness.temperature = 90.0
+        assert governor.decide() is False
+        assert governor.index == 1
+        harness.dropout = False
+        assert governor.decide() is True
+        assert governor.index == 2
 
     def test_changes_recorded(self):
         harness, governor = make(temperature=70.0)

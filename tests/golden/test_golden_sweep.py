@@ -13,7 +13,6 @@ import json
 
 import pytest
 
-from repro.core.compiled import have_numpy
 
 from .sweep import (
     GOLDEN_SWEEP_FILE,
@@ -22,11 +21,6 @@ from .sweep import (
     golden_payload,
 )
 from .traces import GOLDEN_DIR
-
-pytestmark = pytest.mark.skipif(
-    not have_numpy(), reason="the pinned grid uses the compiled engine"
-)
-
 
 @pytest.fixture(scope="module")
 def stored():
@@ -39,7 +33,7 @@ def stored():
     return json.loads(path.read_text())
 
 
-@pytest.mark.parametrize("strategy", ("fork", "batch", "auto"))
+@pytest.mark.parametrize("strategy", ("fork", "batch"))
 def test_strategy_reproduces_golden_artifact(strategy, stored):
     artifact = generate_artifact(strategy=strategy)
     payload = golden_payload(artifact)

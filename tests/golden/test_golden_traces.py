@@ -12,21 +12,9 @@ import json
 
 import pytest
 
-from repro.core.compiled import have_numpy
 from repro.core.solver import ENGINES
 
 from .traces import GOLDEN_DIR, GOLDEN_TRACES, TOLERANCE
-
-
-def _engines():
-    marks = {
-        "compiled": pytest.mark.skipif(
-            not have_numpy(), reason="compiled engine needs numpy"
-        ),
-    }
-    return [
-        pytest.param(e, marks=marks.get(e, ())) for e in ENGINES
-    ]
 
 
 def _load(filename):
@@ -39,7 +27,7 @@ def _load(filename):
     return json.loads(path.read_text())
 
 
-@pytest.mark.parametrize("engine", _engines())
+@pytest.mark.parametrize("engine", ENGINES)
 @pytest.mark.parametrize("name", sorted(GOLDEN_TRACES))
 def test_golden_trace(name, engine):
     generate, filename = GOLDEN_TRACES[name]

@@ -23,13 +23,8 @@ import random
 
 import pytest
 
-from repro.core.compiled import have_numpy
 from repro.parallel import RunSpec, execute_spec, sweep
 from repro.parallel.batch import run_batch
-
-pytestmark = pytest.mark.skipif(
-    not have_numpy(), reason="the batched engine needs numpy"
-)
 
 #: Independent randomized grids; each is one parametrized test case.
 CASE_SEEDS = tuple(range(6))
@@ -120,8 +115,7 @@ def test_sweep_strategies_merge_to_identical_artifacts():
 
     ``strategy="batch"`` routes statically-evictable specs through the
     fork path and pools the rest; the merged artifact must still be
-    byte-identical to the all-fork artifact (and to whatever ``auto``
-    picks).
+    byte-identical to the all-fork artifact.
     """
     rng = random.Random(0x5EEDED)
     specs = _random_specs(rng, "strategies")
@@ -130,8 +124,5 @@ def test_sweep_strategies_merge_to_identical_artifacts():
         scenario="none", duration=90.0,
     ))
     reference = json.dumps(sweep(specs, strategy="fork"), sort_keys=True)
-    for strategy in ("batch", "auto"):
-        artifact = json.dumps(sweep(specs, strategy=strategy), sort_keys=True)
-        assert artifact == reference, (
-            f"sweep artifact via strategy={strategy!r} differs from fork"
-        )
+    artifact = json.dumps(sweep(specs, strategy="batch"), sort_keys=True)
+    assert artifact == reference, "sweep artifact via batch differs from fork"

@@ -14,7 +14,7 @@ from dataclasses import replace
 
 import pytest
 
-from repro.core.compiled import CompiledEngine, have_numpy
+from repro.core.compiled import CompiledEngine
 from repro.core.power import PowerModel, TablePowerModel
 from repro.errors import SweepError
 from repro.parallel import RunSpec, execute_spec
@@ -29,10 +29,6 @@ from repro.parallel.batch import (
     run_batch,
 )
 from repro.parallel.engine import build_simulation, collect_result
-
-pytestmark = pytest.mark.skipif(
-    not have_numpy(), reason="the batched engine needs numpy"
-)
 
 
 def _spec(run_id: str, **overrides) -> RunSpec:

@@ -11,7 +11,6 @@ import json
 import pytest
 
 from repro.cluster.simulation import ClusterSimulation, chaos_script
-from repro.core.compiled import have_numpy
 from repro.errors import ClusterError
 from repro.faults.injector import FaultInjector
 from repro.parallel import RunSpec, execute_spec
@@ -74,7 +73,6 @@ class TestCheckpointRestore:
         assert second.result().fault_log == golden.result().fault_log
         assert second.result().adjustments == golden.result().adjustments
 
-    @pytest.mark.skipif(not have_numpy(), reason="compiled engine needs numpy")
     def test_compiled_engine_round_trip(self):
         golden = _chaos_simulation(engine="compiled")
         _run(golden, self.END)
@@ -152,7 +150,6 @@ class TestCheckpointRestore:
         assert json.loads(text)["time"] == 50.0
 
 
-@pytest.mark.skipif(not have_numpy(), reason="the batched engine needs numpy")
 class TestBatchedCheckpointResume:
     """An in-flight batched sweep pauses and resumes bit-exactly.
 

@@ -2,6 +2,7 @@
 
 import math
 import socket
+import threading
 
 import pytest
 
@@ -9,7 +10,31 @@ from repro.config import table1
 from repro.core.solver import Solver
 from repro.errors import SensorError
 from repro.sensors import protocol
-from repro.sensors.server import SensorService, UdpSensorServer
+from repro.sensors.server import (
+    AsyncUdpSensorServer,
+    SensorService,
+    UdpSensorServer,
+)
+
+
+def port_is_free(host, port):
+    """Whether a fresh UDP socket can bind (host, port)."""
+    sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+    try:
+        sock.bind((host, port))
+    except OSError:
+        return False
+    finally:
+        sock.close()
+    return True
+
+
+def free_port():
+    sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+    sock.bind(("127.0.0.1", 0))
+    port = sock.getsockname()[1]
+    sock.close()
+    return port
 
 
 @pytest.fixture
@@ -135,7 +160,9 @@ class TestUdpServer:
         server.stop()  # no error
 
     def test_start_close_close_under_traffic(self, service):
-        # Close while the worker thread sits in its recv loop, twice.
+        # Close while the loop thread serves, twice: the thread is
+        # joined and the port can be bound again.
+        threads = threading.active_count()
         server = UdpSensorServer(service).start()
         host, port = server.address
         sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
@@ -148,13 +175,19 @@ class TestUdpServer:
             sock.close()
         server.stop()
         server.stop()
-        assert server._server.socket.fileno() == -1
+        assert threading.active_count() == threads
+        assert port_is_free(host, port)
 
     def test_stop_without_start_releases_socket(self, service):
-        server = UdpSensorServer(service)
+        # Binding happens in start(): a server stopped unstarted never
+        # holds its port and leaves no thread behind.
+        port = free_port()
+        threads = threading.active_count()
+        server = UdpSensorServer(service, port=port)
         server.stop()
-        assert server._server.socket.fileno() == -1
         server.stop()  # still idempotent
+        assert threading.active_count() == threads
+        assert port_is_free("127.0.0.1", port)
 
     def test_start_after_stop_rejected(self, service):
         server = UdpSensorServer(service).start()
@@ -162,18 +195,23 @@ class TestUdpServer:
         with pytest.raises(SensorError):
             server.start()
 
-    def test_stop_closes_socket_even_if_shutdown_raises(self, service):
+    def test_stop_closes_socket_even_if_shutdown_raises(
+        self, service, monkeypatch
+    ):
+        original_stop = AsyncUdpSensorServer.stop
+
+        async def exploding_stop(self):
+            await original_stop(self)
+            raise OSError("simulated teardown failure")
+
+        monkeypatch.setattr(AsyncUdpSensorServer, "stop", exploding_stop)
+        threads = threading.active_count()
         server = UdpSensorServer(service).start()
-        original_shutdown = server._server.shutdown
-
-        def exploding_shutdown():
-            original_shutdown()
-            raise OSError("simulated shutdown failure")
-
-        server._server.shutdown = exploding_shutdown
+        host, port = server.address
         with pytest.raises(OSError):
             server.stop()
-        assert server._server.socket.fileno() == -1
+        assert threading.active_count() == threads
+        assert port_is_free(host, port)
         server.stop()  # second close after a failed one is a no-op
 
     def test_in_process_face_survives_udp_teardown(self, service):

@@ -6,7 +6,6 @@ import pytest
 
 from repro.config import table1
 from repro.config.layouts import validation_cluster, validation_machine
-from repro.core.compiled import have_numpy
 from repro.core.solver import Solver
 from repro.errors import FiddleError, SolverError, TopologyError
 from repro.fiddle.tool import Fiddle
@@ -43,8 +42,6 @@ class TestSolverTopology:
         assert temps["machine2"] > temps["machine1"]
 
     def test_engines_agree(self):
-        if not have_numpy():
-            pytest.skip("compiled engine needs NumPy")
         py = build_solver("python")
         comp = build_solver("compiled")
         for _ in range(100):
