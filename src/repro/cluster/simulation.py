@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import asdict, dataclass, field
-from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..config import table1
 from ..config.layouts import validation_cluster
@@ -54,6 +54,7 @@ from ..kernel import Event, EventKernel
 from ..sensors.server import SensorService
 from ..telemetry import ensure as _ensure_telemetry
 from .lvs import CloningConfig, LoadBalancer, ServerState
+from .records import RecordTable, ServerRecord, TickRecord  # noqa: F401
 from .tracegen import RequestTrace, diurnal_trace
 from .webserver import PowerState, WebServer
 
@@ -115,11 +116,6 @@ PRIORITY_TICK = 120
 IDLE_QUIET_TICKS = 2
 IDLE_EPSILON = 1e-6
 
-#: Enum -> wire value, precomputed: ``state.value`` goes through a
-#: descriptor on every read, and the recorder reads it for every server
-#: of every tick of every sweep run.
-_POWER_STATE_VALUE = {state: state.value for state in PowerState}
-
 #: Failed convergence probes back off exponentially (the probe snapshots
 #: every temperature twice, which would otherwise run every quiet tick of
 #: a long, slowly-converging stretch).  The cap bounds how late coasting
@@ -127,44 +123,12 @@ _POWER_STATE_VALUE = {state: state.value for state in PowerState}
 IDLE_PROBE_BACKOFF_MAX = 64
 
 
-class ServerRecord(NamedTuple):
-    """One server's observables at one tick.
-
-    A ``NamedTuple`` rather than a dataclass: one is built per server
-    per tick of every run, and tuple construction is C-speed where a
-    generated ``__init__`` executes nine Python attribute stores.
-    """
-
-    state: str
-    rate: float
-    cpu_utilization: float
-    disk_utilization: float
-    connections: float
-    weight: float
-    connection_limit: Optional[float]
-    cpu_temperature: float
-    disk_temperature: float
-
-
-#: Wire-order field names for :meth:`ClusterSimulation._record_to_dict`.
-_SERVER_RECORD_FIELDS = ServerRecord._fields
-
-
-class TickRecord(NamedTuple):
-    """One tick of the whole cluster."""
-
-    time: float
-    offered_rate: float
-    dropped_rate: float
-    active_servers: int
-    servers: Dict[str, ServerRecord]
-
-
 @dataclass
 class SimulationResult:
     """Everything an experiment needs after a run."""
 
-    records: List[TickRecord]
+    #: Per-tick records: a snapshot the run's later ticks do not change.
+    records: RecordTable
     drop_fraction: float
     total_offered: float
     total_dropped: float
@@ -185,6 +149,14 @@ class SimulationResult:
     #: cloning was active, 1.0 when shed); empty when cloning is off.
     clone_latency_scales: List[float] = field(default_factory=list)
 
+    def _per_tick(self, fieldname: str):
+        """Per tick, the tuple of every server's ``fieldname`` value in
+        machine order."""
+        records = self.records
+        return zip(*(
+            records.column(name, fieldname) for name in records.machines
+        ))
+
     def request_latency_series(self) -> List[float]:
         """Per-tick mean request response time (seconds).
 
@@ -196,12 +168,11 @@ class SimulationResult:
         """
         series: List[float] = []
         scales = self.clone_latency_scales
-        for index, record in enumerate(self.records):
-            connections = sum(
-                s.connections for s in record.servers.values()
-            )
-            rate = sum(s.rate for s in record.servers.values())
-            latency = connections / rate if rate > 1e-9 else 0.0
+        for index, (connections, rates) in enumerate(zip(
+            self._per_tick("connections"), self._per_tick("rate")
+        )):
+            rate = sum(rates)
+            latency = sum(connections) / rate if rate > 1e-9 else 0.0
             if index < len(scales):
                 latency *= scales[index]
             series.append(latency)
@@ -215,9 +186,9 @@ class SimulationResult:
         request volume deserves.
         """
         weighted = [
-            (latency, sum(s.rate for s in record.servers.values()))
-            for latency, record in zip(
-                self.request_latency_series(), self.records
+            (latency, sum(rates))
+            for latency, rates in zip(
+                self.request_latency_series(), self._per_tick("rate")
             )
         ]
         total = sum(weight for _, weight in weighted)
@@ -233,23 +204,26 @@ class SimulationResult:
 
     def times(self) -> List[float]:
         """Tick timestamps."""
-        return [r.time for r in self.records]
+        return list(self.records.time)
 
     def series(self, machine: str, fieldname: str) -> List[float]:
         """Per-tick series of one server field (e.g. "cpu_temperature")."""
-        return [getattr(r.servers[machine], fieldname) for r in self.records]
+        return list(self.records.column(machine, fieldname))
 
     def active_series(self) -> List[int]:
         """Active-server count over time (the thick line of Figure 12)."""
-        return [r.active_servers for r in self.records]
+        return list(self.records.active_servers)
 
     def max_temperature(self, machine: str, component: str = "cpu_temperature",
                         after: float = 0.0) -> float:
         """Peak temperature of one machine after a given time."""
+        records = self.records
         return max(
-            getattr(r.servers[machine], component)
-            for r in self.records
-            if r.time >= after
+            value
+            for time, value in zip(
+                records.time, records.column(machine, component)
+            )
+            if time >= after
         )
 
 
@@ -392,7 +366,8 @@ class ClusterSimulation:
             restart=self._restart_daemon,
             restart_delay=watchdog_restart_delay,
         )
-        self.records: List[TickRecord] = []
+        #: Every tick so far, as columns (see :mod:`repro.cluster.records`).
+        self.records = RecordTable(self.machines)
         self.total_offered = 0.0
         self.total_dropped = 0.0
         self.time = 0.0
@@ -868,12 +843,10 @@ class ClusterSimulation:
         """
         changed = False
         last = self._ff_last_utils
-        active = (
-            self.injector.monitord_active if self.injector.any_active else None
-        )
+        silenced = self.injector.silenced_monitords
         feed = self.solver.set_utilizations
         for name, ws in self.webservers.items():
-            if active is not None and not active(name):
+            if name in silenced:
                 continue
             load = ws.load
             pair = (load.cpu_utilization, load.disk_utilization)
@@ -915,8 +888,7 @@ class ClusterSimulation:
     def _ev_record(self, event: Event) -> None:
         """Record the tick that just finished (label = its start time)."""
         label = float(event.payload["time"])
-        record = self._record(label, self._last_offered, self._last_dropped)
-        self.records.append(record)
+        self._record(label, self._last_offered, self._last_dropped)
         if self.telemetry.enabled:
             # The legacy loop stamped tick metrics at the tick's start;
             # rewind the shared clock for the publish so exposition and
@@ -925,7 +897,7 @@ class ClusterSimulation:
             finish = clock.now
             clock.advance(label)
             try:
-                self._publish_tick(record)
+                self._publish_tick()
             finally:
                 clock.advance(finish)
 
@@ -1017,19 +989,23 @@ class ClusterSimulation:
             "watchdog",
         )
 
-    def _publish_tick(self, record: TickRecord) -> None:
-        """Mirror one tick into the telemetry facade.
+    def _publish_tick(self) -> None:
+        """Mirror the last recorded tick into the telemetry facade.
 
         Counters/gauges update every tick; the per-machine temperature
         samples that make up the Figure 11/12 series are emitted to the
         event stream every ``telemetry_sample_period`` seconds.
         """
-        self._tel_offered.inc(record.offered_rate * self.dt)
-        if record.dropped_rate > 0.0:
-            self._tel_dropped.inc(record.dropped_rate * self.dt)
-        self._tel_offered_rate.set(record.offered_rate)
-        self._tel_dropped_rate.set(record.dropped_rate)
-        self._tel_active.set(record.active_servers)
+        records = self.records
+        offered = records.offered_rate[-1]
+        dropped = records.dropped_rate[-1]
+        active = records.active_servers[-1]
+        self._tel_offered.inc(offered * self.dt)
+        if dropped > 0.0:
+            self._tel_dropped.inc(dropped * self.dt)
+        self._tel_offered_rate.set(offered)
+        self._tel_dropped_rate.set(dropped)
+        self._tel_active.set(active)
         # The kernel's sample-gate event arms this flag once per
         # telemetry_sample_period; the next record publishes the series.
         if not self._sample_next:
@@ -1039,17 +1015,19 @@ class ClusterSimulation:
         # repack **attrs on this per-tick path).
         sample = self.telemetry.events.sample
         sample(
-            "cluster_dropped_rate", record.dropped_rate, "cluster",
-            active_servers=record.active_servers,
+            "cluster_dropped_rate", dropped, "cluster",
+            active_servers=active,
         )
-        for name, server in record.servers.items():
+        for name, (state, _, _, _, connections, weight, _, cpu, disk) in (
+            records.servers.items()
+        ):
             sample(
-                "server_tick", server.cpu_temperature, "cluster",
+                "server_tick", cpu[-1], "cluster",
                 machine=name,
-                disk_temperature=server.disk_temperature,
-                weight=server.weight,
-                connections=server.connections,
-                state=server.state,
+                disk_temperature=disk[-1],
+                weight=weight[-1],
+                connections=connections[-1],
+                state=state[-1],
             )
 
     def _temperature_readers(self) -> List[Tuple[Dict[str, float], str,
@@ -1072,38 +1050,44 @@ class ClusterSimulation:
             self._temp_readers = readers
         return readers
 
-    def _record(self, now: float, offered: float, dropped: float) -> TickRecord:
-        servers: Dict[str, ServerRecord] = {}
+    def _record(self, now: float, offered: float, dropped: float) -> None:
+        """Append one tick's values to every column of ``records``."""
+        records = self.records
         active = 0
         off = PowerState.OFF
         is_active = PowerState.ACTIVE
-        state_value = _POWER_STATE_VALUE
         balancer_servers = self.balancer.server_map
         readers = self._temperature_readers()
-        for (name, ws), (cpu_temps, cpu_node, disk_temps, disk_node) in zip(
-            self.webservers.items(), readers
-        ):
+        for (name, ws), (cpu_temps, cpu_node, disk_temps, disk_node), (
+            states, rates, cpu_utils, disk_utils, connections, weights,
+            limits, cpu_temperatures, disk_temperatures,
+        ) in zip(self.webservers.items(), readers, records.servers.values()):
             state = ws.state
             if state is is_active:
                 active += 1
             balancer_entry = balancer_servers[name]
             load = ws.load
             response_time = load.response_time
-            servers[name] = ServerRecord(
-                state_value[state],
+            # _value_ is the member's plain attribute; .value is a
+            # descriptor, and Enum hashing is Python-level.
+            states.append(state._value_)
+            rates.append(
                 0.0 if state is off else load.connections
-                / (response_time if response_time > 1e-9 else 1e-9),
-                load.cpu_utilization,
-                load.disk_utilization,
-                load.connections,
-                balancer_entry.weight,
-                balancer_entry.connection_limit,
-                # Records hold the physical ground truth, not what a
-                # possibly-faulted sensor claims.
-                cpu_temps[cpu_node],
-                disk_temps[disk_node],
+                / (response_time if response_time > 1e-9 else 1e-9)
             )
-        return TickRecord(now, offered, dropped, active, servers)
+            cpu_utils.append(load.cpu_utilization)
+            disk_utils.append(load.disk_utilization)
+            connections.append(load.connections)
+            weights.append(balancer_entry.weight)
+            limits.append(balancer_entry.connection_limit)
+            # Records hold the physical ground truth, not what a
+            # possibly-faulted sensor claims.
+            cpu_temperatures.append(cpu_temps[cpu_node])
+            disk_temperatures.append(disk_temps[disk_node])
+        records.time.append(now)
+        records.offered_rate.append(offered)
+        records.dropped_rate.append(dropped)
+        records.active_servers.append(active)
 
     # -- checkpoint / restore ------------------------------------------------
 
@@ -1211,7 +1195,7 @@ class ClusterSimulation:
             "admd": admd_state,
             "traditional": traditional_state,
             "governors": governor_state,
-            "records": [self._record_to_dict(r) for r in self.records],
+            "records": self.records.to_dicts(),
         }
         if self.cloning is not None:
             # Key present only when cloning is configured, so classic
@@ -1238,6 +1222,7 @@ class ClusterSimulation:
                 f"checkpoint policy {data['policy']!r} does not match "
                 f"simulation policy {self.policy!r}"
             )
+        records = RecordTable.from_dicts(self.machines, data["records"])
         self.solver.restore(data["solver"])
         self.injector.restore(data["injector"])
         self.watchdog.restore(data["watchdog"])
@@ -1308,7 +1293,7 @@ class ClusterSimulation:
             for name, pair in ff["last_utils"].items()
         }
         self.kernel.restore(data["kernel"])
-        self.records = [self._record_from_dict(r) for r in data["records"]]
+        self.records = records
         self._clone_scales = [
             float(s) for s in data.get("clone_scales", [])
         ]
@@ -1419,38 +1404,6 @@ class ClusterSimulation:
             }
             admd.regions._rr_index = int(ec["rr_index"])
 
-    @staticmethod
-    def _record_to_dict(record: TickRecord) -> Dict[str, object]:
-        # Hot on the sweep path (every record of every run crosses it);
-        # hand-rolled instead of dataclasses.asdict, whose recursive
-        # deep-copy costs ~10x for these flat scalar records.
-        return {
-            "time": record.time,
-            "offered_rate": record.offered_rate,
-            "dropped_rate": record.dropped_rate,
-            "active_servers": record.active_servers,
-            "servers": {
-                # ServerRecord is a NamedTuple whose field order is the
-                # wire order, so one C-level dict(zip(...)) per server
-                # replaces nine attribute reads.
-                name: dict(zip(_SERVER_RECORD_FIELDS, s))
-                for name, s in record.servers.items()
-            },
-        }
-
-    @staticmethod
-    def _record_from_dict(data: Mapping[str, object]) -> TickRecord:
-        return TickRecord(
-            time=float(data["time"]),
-            offered_rate=float(data["offered_rate"]),
-            dropped_rate=float(data["dropped_rate"]),
-            active_servers=int(data["active_servers"]),
-            servers={
-                name: ServerRecord(**server)
-                for name, server in data["servers"].items()
-            },
-        )
-
     def result(self) -> SimulationResult:
         """Bundle the run's records and policy logs."""
         adjustments = self.admd.adjustments if self.admd else []
@@ -1477,7 +1430,7 @@ class ClusterSimulation:
                 "delayed": self.channel.delayed,
             }
         return SimulationResult(
-            records=list(self.records),
+            records=self.records.copy(),
             drop_fraction=drop_fraction,
             total_offered=self.total_offered,
             total_dropped=self.total_dropped,

@@ -10,7 +10,8 @@ through the stack:
 * the tempd -> admd datagram path runs through a :class:`LossyChannel`,
   which asks :meth:`datagram_fate` about each message;
 * :class:`~repro.cluster.simulation.ClusterSimulation` checks
-  :meth:`daemon_up` / :meth:`monitord_active` before ticking daemons;
+  :meth:`daemon_up` and :attr:`silenced_monitords` before ticking
+  daemons;
 * :class:`DaemonWatchdog` restarts daemons the injector reports crashed.
 
 Everything stochastic draws from one seeded RNG, so replaying the same
@@ -21,7 +22,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
 
 from ..errors import FaultError, SensorError
 from ..telemetry import ensure as _ensure_telemetry
@@ -60,6 +61,14 @@ class FaultInjector:
         )
         self._next = 0
         self._active: List[ActiveFault] = []
+        #: Index of ``_active`` for the per-machine daemon hooks, rebuilt
+        #: by :meth:`_reindex` on every change to the active list: the
+        #: crashed daemons as (machine, daemon) pairs and as (machine,
+        #: daemon, down-since) tuples in active-list order, and the
+        #: machines whose monitord is crashed or stalled.
+        self._crashed: FrozenSet[Tuple[str, str]] = frozenset()
+        self._crashes: List[Tuple[str, str, float]] = []
+        self._silenced: FrozenSet[str] = frozenset()
         self.now = 0.0
         #: Audit log of (time, event) entries.  Bit-identical replay
         #: tests compare this list verbatim, so it stays authoritative;
@@ -86,16 +95,20 @@ class FaultInjector:
     # -- lifecycle ---------------------------------------------------------
 
     def schedule(self, start: float, spec: FaultSpec) -> None:
-        """Add one fault to the pending schedule."""
+        """Add one fault to the pending schedule.
+
+        Raises :class:`~repro.errors.FaultError`, changing nothing, for a
+        ``start`` before the injector's clock.  A later (or equal) start
+        sorts behind every fault already fired, so the cursor stays on
+        the first unfired one.
+        """
+        if start < self.now:
+            raise FaultError(
+                f"cannot schedule a fault at t={start:g} s, before the "
+                f"injector clock (t={self.now:g} s)"
+            )
         self._pending.append(ScheduledFault(start=start, spec=spec))
         self._pending.sort(key=lambda f: f.start)
-        if self._next > 0:
-            # Keep unfired entries ahead of the cursor consistent.
-            fired = self._pending[: self._next]
-            if any(f.start > start for f in fired):
-                raise FaultError(
-                    "cannot schedule a fault in the already-elapsed past"
-                )
 
     def inject(self, spec: FaultSpec, now: Optional[float] = None) -> ActiveFault:
         """Activate a fault immediately (script statements land here)."""
@@ -104,6 +117,7 @@ class FaultInjector:
         end = now + spec.duration if spec.duration is not None else None
         active = ActiveFault(spec=spec, start=now, end=end)
         self._active.append(active)
+        self._reindex()
         self._note(now, f"inject {spec.describe()}")
         return active
 
@@ -122,6 +136,7 @@ class FaultInjector:
             ]
             for fault in expired:
                 self._active.remove(fault)
+                self._reindex()
                 self._note(now, f"expire {fault.spec.describe()}")
 
     def clear(self, kind: Optional[FaultKind] = None) -> int:
@@ -131,6 +146,7 @@ class FaultInjector:
         ]
         for fault in victims:
             self._active.remove(fault)
+            self._reindex()
             self._note(self.now, f"clear {fault.spec.describe()}")
         return len(victims)
 
@@ -138,6 +154,24 @@ class FaultInjector:
     def active(self) -> List[ActiveFault]:
         """Faults currently in force (snapshot)."""
         return list(self._active)
+
+    def _reindex(self) -> None:
+        """Rebuild the daemon index from the active list."""
+        crashes = [
+            (f.spec.machine, f.spec.target, f.start)
+            for f in self._active
+            if f.spec.kind is FaultKind.DAEMON_CRASH
+        ]
+        self._crashes = crashes
+        self._crashed = frozenset((m, d) for m, d, _ in crashes)
+        self._silenced = frozenset(
+            [m for m, d, _ in crashes if d == "monitord"]
+            + [
+                f.spec.machine
+                for f in self._active
+                if f.spec.kind is FaultKind.MONITORD_STALL
+            ]
+        )
 
     def _matching(self, *kinds: FaultKind) -> List[ActiveFault]:
         if not self._active:  # hot path: most ticks have no faults at all
@@ -209,17 +243,11 @@ class FaultInjector:
 
     def daemon_up(self, machine: str, daemon: str) -> bool:
         """False while a crash fault covers the daemon."""
-        for fault in self._matching(FaultKind.DAEMON_CRASH):
-            if fault.spec.machine == machine and fault.spec.target == daemon:
-                return False
-        return True
+        return (machine, daemon) not in self._crashed
 
     def crashed_daemons(self) -> List[Tuple[str, str, float]]:
         """All crashed daemons as (machine, daemon, down-since) tuples."""
-        return [
-            (f.spec.machine, f.spec.target, f.start)
-            for f in self._matching(FaultKind.DAEMON_CRASH)
-        ]
+        return list(self._crashes)
 
     def restart_daemon(
         self, machine: str, daemon: str, now: Optional[float] = None
@@ -232,6 +260,7 @@ class FaultInjector:
         for fault in self._matching(FaultKind.DAEMON_CRASH):
             if fault.spec.machine == machine and fault.spec.target == daemon:
                 self._active.remove(fault)
+                self._reindex()
                 self._note(
                     self.now if now is None else now,
                     f"restart {machine}/{daemon}",
@@ -244,16 +273,14 @@ class FaultInjector:
         """True while any injected fault is live (hot-path pre-check)."""
         return bool(self._active)
 
+    @property
+    def silenced_monitords(self) -> FrozenSet[str]:
+        """Machines whose monitord is stalled or crashed right now."""
+        return self._silenced
+
     def monitord_active(self, machine: str) -> bool:
         """False while monitord is stalled or crashed on a machine."""
-        if not self._active:
-            return True
-        if not self.daemon_up(machine, "monitord"):
-            return False
-        for fault in self._matching(FaultKind.MONITORD_STALL):
-            if fault.spec.machine == machine:
-                return False
-        return True
+        return machine not in self._silenced
 
     # -- checkpoint / restore ----------------------------------------------
 
@@ -316,6 +343,7 @@ class FaultInjector:
             )
             for entry in data["active"]
         ]
+        self._reindex()
         self.log = [(float(t), str(text)) for t, text in data["log"]]
         self.sensor_faulted_reads = int(data["sensor_faulted_reads"])
         self.sensor_dropped_reads = int(data["sensor_dropped_reads"])

@@ -273,7 +273,7 @@ def collect_result(
         run_id=spec.run_id,
         spec=spec.to_dict(),
         summary=summary,
-        records=[simulation._record_to_dict(r) for r in simulation.records],
+        records=outcome.records.to_dicts(),
         registry=[
             family
             for family in dump_registry(simulation.telemetry.registry)

@@ -107,6 +107,10 @@ class UtilizationUpdate:
         for i in range(count):
             name = _unpack_name(unpacked[4 + 2 * i])
             value = float(unpacked[5 + 2 * i])
+            if not 0.0 <= value <= 1.0:  # also false for NaN
+                raise SensorError(
+                    f"utilization of {name!r} out of range: {value}"
+                )
             utilizations[name] = value
         return cls(machine=_unpack_name(machine_raw), utilizations=utilizations)
 

@@ -213,9 +213,26 @@ class SensorService:
         ).encode()
 
     def handle_update(self, data: bytes) -> None:
-        """Decode and apply a monitord update datagram."""
+        """Decode and apply a monitord update datagram.
+
+        The whole update is checked before any of it is applied: an
+        unknown machine or component raises
+        :class:`~repro.errors.SensorError` and changes nothing.
+        """
         update = protocol.UtilizationUpdate.decode(data)
-        self.apply_utilizations(update.machine, update.utilizations)
+        with self._lock:
+            state = self._solver.machines.get(update.machine)
+            if state is None:
+                raise SensorError(
+                    f"update for unknown machine {update.machine!r}"
+                )
+            unknown = sorted(set(update.utilizations) - set(state.utilizations))
+            if unknown:
+                raise SensorError(
+                    f"update for {update.machine!r} names unknown "
+                    f"component(s) {unknown}"
+                )
+            self.apply_utilizations(update.machine, update.utilizations)
 
 
 

@@ -139,12 +139,11 @@ class RecirculationOperator:
             self.supply_temperature(topo.positions[name].zone)
             for name in self.names
         ]
-        if np is not None:
-            self._rows = np.array(rows, dtype=np.intp)
-            self._cols = np.array(cols, dtype=np.intp)
-            self._w = np.array(weights, dtype=float)
-            self._supply_arr = np.array(self._supply_temp, dtype=float)
-            self._frac_arr = np.array(self._supply_frac, dtype=float)
+        self._rows = np.array(rows, dtype=np.intp)
+        self._cols = np.array(cols, dtype=np.intp)
+        self._w = np.array(weights, dtype=float)
+        self._supply_arr = np.array(self._supply_temp, dtype=float)
+        self._frac_arr = np.array(self._supply_frac, dtype=float)
         self._dirty = False
 
     # -- evaluation ------------------------------------------------------

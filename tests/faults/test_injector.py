@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import SensorError
+from repro.errors import FaultError, SensorError
 from repro.faults.injector import (
     DaemonWatchdog,
     FaultInjector,
@@ -47,6 +47,42 @@ class TestClockAndLifecycle:
         assert len(injector.active) == 1
         assert injector.clear() == 1
         assert injector.active == []
+
+    def test_schedule_before_the_clock_changes_nothing(self):
+        crash = spec(FaultKind.DAEMON_CRASH, machine="machine1", target="tempd")
+        injector = FaultInjector(FaultSchedule().at(10.0, crash))
+        injector.advance_to(20.0)
+        pending = list(injector._pending)
+        cursor = injector._next
+        log = list(injector.log)
+        stall = spec(
+            FaultKind.MONITORD_STALL, machine="machine2", target="monitord"
+        )
+        with pytest.raises(FaultError, match="before the injector clock"):
+            injector.schedule(5.0, stall)
+        assert injector._pending == pending
+        assert injector._next == cursor
+        assert injector.log == log
+        injector.advance_to(30.0)
+        assert [e for _, e in injector.log if e.startswith("inject")] == [
+            f"inject {crash.describe()}"
+        ]
+
+    @pytest.mark.parametrize("delay", [0.0, 5.0])
+    def test_fault_scheduled_at_or_after_now_fires_once(self, delay):
+        crash = spec(FaultKind.DAEMON_CRASH, machine="machine1", target="tempd")
+        injector = FaultInjector(FaultSchedule().at(10.0, crash))
+        injector.advance_to(20.0)
+        stall = spec(
+            FaultKind.MONITORD_STALL, machine="machine2", target="monitord"
+        )
+        injector.schedule(20.0 + delay, stall)
+        for now in (20.0, 25.0, 30.0, 40.0):
+            injector.advance_to(now)
+        assert [e for _, e in injector.log if e.startswith("inject")] == [
+            f"inject {crash.describe()}", f"inject {stall.describe()}"
+        ]
+        assert not injector.monitord_active("machine2")
 
 
 class TestSensorHook:

@@ -40,7 +40,7 @@ def _temperatures(simulation):
 
 
 def _record_dicts(simulation):
-    return [simulation._record_to_dict(r) for r in simulation.records]
+    return simulation.records.to_dicts()
 
 
 class TestCheckpointRestore:

@@ -1,8 +1,11 @@
 """Tests for the solver-side sensor service (in-process and UDP faces)."""
 
+import asyncio
+import logging
 import math
 import socket
 import threading
+import time
 
 import pytest
 
@@ -222,3 +225,115 @@ class TestUdpServer:
         query = protocol.SensorQuery(3, "machine1", "cpu")
         reply = protocol.SensorReply.decode(service.handle_query(query.encode()))
         assert reply.status == protocol.STATUS_OK
+
+
+def _raw_update(machine, name, value):
+    """An update datagram the encoder would refuse (out-of-range values)."""
+    return protocol._UPDATE_STRUCT.pack(
+        protocol.UPDATE_MAGIC, protocol.PROTOCOL_VERSION,
+        machine.encode(), 1, name.encode(), value,
+        b"", 0.0, b"", 0.0, b"", 0.0,
+    )
+
+
+#: Updates a service must reject whole: an unknown machine, an unknown
+#: component, two out-of-range utilizations, and a valid component
+#: beside an unknown one.
+BAD_UPDATES = (
+    protocol.UtilizationUpdate("nosuch", {table1.CPU: 0.5}).encode(),
+    protocol.UtilizationUpdate("machine1", {"gpu": 0.5}).encode(),
+    _raw_update("machine1", table1.CPU, 1.5),
+    _raw_update("machine1", table1.CPU, float("nan")),
+    protocol.UtilizationUpdate(
+        "machine1", {table1.CPU: 0.9, "gpu": 0.5}
+    ).encode(),
+)
+
+GOOD_UPDATE = protocol.UtilizationUpdate("machine1", {table1.CPU: 0.7}).encode()
+
+
+class TestRejectedUpdates:
+    """A bad update counts as malformed and changes no state."""
+
+    @pytest.mark.parametrize("data", BAD_UPDATES)
+    def test_handle_update_raises_sensor_error(self, service, data):
+        before = dict(service.solver.machine("machine1").utilizations)
+        with pytest.raises(SensorError):
+            service.handle_update(data)
+        assert service.solver.machine("machine1").utilizations == before
+        assert service.updates_applied == 0
+
+    def _check(self, service, counts, before):
+        assert counts() == (0, len(BAD_UPDATES))
+        assert service.solver.machine("machine1").utilizations == before
+        assert service.updates_applied == 0
+
+    def test_blocking_endpoint(self, service, caplog):
+        before = dict(service.solver.machine("machine1").utilizations)
+        with caplog.at_level(logging.ERROR, logger="asyncio"):
+            with UdpSensorServer(service) as server:
+
+                def counts():
+                    return server.received, server.malformed
+
+                sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+                try:
+                    for data in BAD_UPDATES:
+                        sock.sendto(data, server.address)
+                    for _ in range(200):
+                        if sum(counts()) >= len(BAD_UPDATES):
+                            break
+                        time.sleep(0.01)
+                    self._check(service, counts, before)
+                    sock.sendto(GOOD_UPDATE, server.address)
+                    for _ in range(200):
+                        if server.received:
+                            break
+                        time.sleep(0.01)
+                finally:
+                    sock.close()
+                assert counts() == (1, len(BAD_UPDATES))
+        assert caplog.records == []
+        assert service.solver.machine("machine1").utilizations[
+            table1.CPU
+        ] == pytest.approx(0.7)
+
+    def test_async_endpoint(self, service):
+        before = dict(service.solver.machine("machine1").utilizations)
+        errors = []
+
+        async def scenario():
+            asyncio.get_running_loop().set_exception_handler(
+                lambda loop, context: errors.append(context)
+            )
+            async with AsyncUdpSensorServer(service) as server:
+
+                def counts():
+                    return server.received, server.malformed
+
+                transport, _ = await asyncio.get_running_loop(
+                ).create_datagram_endpoint(
+                    asyncio.DatagramProtocol, remote_addr=server.address
+                )
+                try:
+                    for data in BAD_UPDATES:
+                        transport.sendto(data)
+                    for _ in range(200):
+                        if sum(counts()) >= len(BAD_UPDATES):
+                            break
+                        await asyncio.sleep(0.01)
+                    self._check(service, counts, before)
+                    transport.sendto(GOOD_UPDATE)
+                    for _ in range(200):
+                        if server.received:
+                            break
+                        await asyncio.sleep(0.01)
+                finally:
+                    transport.close()
+                assert counts() == (1, len(BAD_UPDATES))
+
+        asyncio.run(scenario())
+        assert errors == []
+        assert service.solver.machine("machine1").utilizations[
+            table1.CPU
+        ] == pytest.approx(0.7)
