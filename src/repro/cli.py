@@ -687,12 +687,11 @@ def cmd_top(args: argparse.Namespace, out) -> int:
     )
     ticks = int(round(args.duration / simulation.dt))
     frame_every = max(1, int(round(args.every / simulation.dt)))
-    for tick in range(ticks):
-        simulation.step()
-        if (tick + 1) % frame_every == 0 or tick == ticks - 1:
-            if not args.plain:
-                print("\x1b[2J\x1b[H", end="", file=out)
-            print(telemetry.render(width=args.width), file=out)
+    for done in range(0, ticks, frame_every):
+        simulation.step(min(frame_every, ticks - done))
+        if not args.plain:
+            print("\x1b[2J\x1b[H", end="", file=out)
+        print(telemetry.render(width=args.width), file=out)
     result = simulation.result()
     print(
         f"done: policy {args.policy}, {args.duration:g}s simulated, "

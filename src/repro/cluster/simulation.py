@@ -678,9 +678,12 @@ class ClusterSimulation:
         self._advance_ticks(int(round(duration / self.dt)))
         return self.result()
 
-    def step(self) -> TickRecord:
-        """Advance the whole cluster by one tick."""
-        self._advance_ticks(1)
+    def step(self, ticks: int = 1) -> TickRecord:
+        """Advance the whole cluster ``ticks`` ticks; returns the last record.
+
+        Only that one :class:`TickRecord` is built from the columns.
+        """
+        self._advance_ticks(ticks)
         return self.records[-1]
 
     def _advance_ticks(self, ticks: int) -> None:

@@ -318,7 +318,7 @@ def replay_cluster_machine(
         # so sampling it before the tick reads exactly the inlet the
         # tick is about to mix.
         inlets.append(sim.solver._inter_machine_traversal()[machine])
-        sim.step()
+        sim._advance_ticks(1)
         cpu.append(state.utilizations[table1.CPU])
         disk.append(state.utilizations[table1.DISK_PLATTERS])
         cpu_T.append(state.temperatures[table1.CPU])

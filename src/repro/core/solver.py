@@ -22,8 +22,13 @@ between ticks.  The solver is deterministic: same inputs, same outputs.
 Two interchangeable engines perform the per-machine traversals:
 
 * ``engine="python"`` (the default) — the reference implementation in
-  this module: per-node dict loops, easy to read and to audit against
-  the paper's equations;
+  this module: scalar loops, one machine at a time, easy to audit
+  against the paper's equations.  Each machine ticks from a schedule
+  hoisted out of its layout's :class:`~repro.core.compiled.MachinePlan`
+  (air order, mixing terms, exchange pairs, edge classes, power specs);
+  the terms derived from the flows are rebuilt only after a fraction or
+  fan edit, and the :mod:`repro.core.physics` expressions are evaluated
+  inline, bit for bit (``tests/core/test_python_tick_bitwise.py``);
 * ``engine="compiled"`` — :mod:`repro.core.compiled` lowers the layouts
   into flat NumPy arrays and runs all machines of a step as vectorized
   array operations.  It matches the reference engine within 1e-9 °C
@@ -38,7 +43,8 @@ mutations, ``force_temperature``, cluster source overrides, and
 from __future__ import annotations
 
 import time as _time
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from math import exp, expm1
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .. import units
 from ..errors import SolverError, UnknownNodeError, UnknownSensorError
@@ -444,86 +450,6 @@ class Solver:
             return self.machines[machine].layout.inlet_temperature
         return physics.mix_streams(temps, weights)
 
-    def _machine_tick(self, state: MachineState, inlet_temperature: float) -> None:
-        layout = state.layout
-        dt = self.dt
-        flows = state.flows()
-        temps = state.temperatures
-        start = dict(temps)  # component temps seen by all exchanges this tick
-
-        # Heat gained by each component this tick (J), applied at the end.
-        heat: Dict[str, float] = {name: 0.0 for name in layout.components}
-
-        # --- intra-machine air traversal (advection + stream exchange) ---
-        incoming = {region: layout.incoming_air(region) for region in layout.air_regions}
-        air_heat_edges: Dict[str, List[Tuple[str, Tuple[str, str]]]] = {
-            region: [] for region in layout.air_regions
-        }
-        for edge in layout.heat_edges:
-            for region, other in ((edge.a, edge.b), (edge.b, edge.a)):
-                if region in layout.air_regions and other in layout.components:
-                    air_heat_edges[region].append((other, edge.key))
-
-        for region in layout.air_order:
-            flow = flows.get(region, 0.0)
-            if region == layout.inlet:
-                t_air = inlet_temperature
-            else:
-                mix_temps: List[float] = []
-                mix_weights: List[float] = []
-                for edge in incoming[region]:
-                    fraction = state.fractions[(edge.src, edge.dst)]
-                    upstream_flow = flows.get(edge.src, 0.0)
-                    weight = upstream_flow * fraction
-                    if weight > 0.0:
-                        mix_temps.append(temps[edge.src])
-                        mix_weights.append(weight)
-                if mix_temps:
-                    t_air = physics.mix_streams(mix_temps, mix_weights)
-                else:
-                    t_air = temps[region]  # stagnant pocket keeps its temperature
-            capacity_rate = units.air_heat_capacity_rate(flow)
-            for component, key in air_heat_edges[region]:
-                exchange = physics.stream_exchange(
-                    k=state.k[key],
-                    t_body=start[component],
-                    t_stream_in=t_air,
-                    capacity_rate=capacity_rate,
-                    dt=dt,
-                )
-                t_air = exchange.t_out
-                heat[component] -= exchange.heat_to_stream
-            temps[region] = t_air
-
-        # --- inter-component heat flow + air-air conduction ---
-        for edge in layout.heat_edges:
-            a_is_comp = edge.a in layout.components
-            b_is_comp = edge.b in layout.components
-            k = state.k[edge.key]
-            if a_is_comp and b_is_comp:
-                mc_a = layout.components[edge.a].heat_capacity
-                mc_b = layout.components[edge.b].heat_capacity
-                q = physics.conduction_heat(k, start[edge.a], start[edge.b], dt, mc_a, mc_b)
-                heat[edge.a] -= q
-                heat[edge.b] += q
-            elif not a_is_comp and not b_is_comp:
-                # Air-air conduction between regions (rare; e.g. a stagnant
-                # pocket).  Each side's per-tick thermal mass is the air
-                # that transits it during the step.
-                mc_a = max(units.air_heat_capacity_rate(flows.get(edge.a, 0.0)) * dt, 1e-9)
-                mc_b = max(units.air_heat_capacity_rate(flows.get(edge.b, 0.0)) * dt, 1e-9)
-                q = physics.conduction_heat(k, temps[edge.a], temps[edge.b], dt, mc_a, mc_b)
-                temps[edge.a] -= q / mc_a
-                temps[edge.b] += q / mc_b
-            # component-air edges were handled in the air traversal
-
-        # --- component self-heating and temperature update ---
-        for name, component in layout.components.items():
-            heat[name] += state.power_models[name].heat(state.utilizations[name], dt)
-            temps[name] = start[name] + physics.temperature_delta(
-                heat[name], component.mass, component.specific_heat
-            )
-
     # ------------------------------------------------------------------
     # checkpoint / restore
     # ------------------------------------------------------------------
@@ -640,16 +566,175 @@ class Solver:
 
 
 class _PythonEngine:
-    """The reference engine: per-machine dict-loop traversals."""
+    """The reference engine: per-machine scalar traversals in Python.
+
+    Each machine ticks from a :class:`_MachineSchedule` hoisted out of
+    its layout's :class:`~repro.core.compiled.MachinePlan`, so a tick
+    walks prebuilt node-name tables instead of re-deriving the layout's
+    edge structure.
+    """
 
     #: See :class:`repro.core.compiled.CompiledEngine` for the contract.
     provides_inlets = False
     measure_host_latency = True
 
     def __init__(self, solver: Solver) -> None:
+        from .compiled import compile_layout
+
         self._solver = solver
+        self._schedules = [
+            (name, _MachineSchedule(state, compile_layout(state.layout)))
+            for name, state in solver.machines.items()
+        ]
 
     def tick(self, inlet_temps: Mapping[str, float]) -> None:
-        solver = self._solver
-        for name, state in solver.machines.items():
-            solver._machine_tick(state, inlet_temps[name])
+        dt = self._solver.dt
+        for name, schedule in self._schedules:
+            schedule.tick(inlet_temps[name], dt)
+
+
+class _MachineSchedule:
+    """One machine's reference tick, scheduled from its compiled plan.
+
+    The plan's structure — air order, mixing sources, stream-exchange
+    pairs, comp-comp and air-air edges, power specs, m*c — is translated
+    to node names once.  What the tick derives from the flows — mixing
+    weights and their sum, the heat-capacity rate ṁc and ṁc*dt per
+    region, the air-air masses — is rebuilt only when ``state.flows()``
+    returns a new dict (after a fraction or fan edit) or ``dt`` changes.
+    ``k``, utilizations and power factors are read live every tick.
+
+    :meth:`tick` evaluates the expressions of
+    :func:`~repro.core.physics.mix_streams`,
+    :func:`~repro.core.physics.stream_exchange`,
+    :func:`~repro.core.physics.conduction_heat`,
+    :func:`~repro.core.physics.temperature_delta` and
+    :meth:`ScaledPowerModel.heat <repro.core.power.ScaledPowerModel.heat>`
+    inline, in their operand order (``sum()`` included), so each
+    temperature is bitwise what calling them gives.  Table and other
+    non-affine power models are still called.
+    """
+
+    def __init__(self, state: MachineState, plan) -> None:
+        self.state = state
+        names = plan.comp_names
+        air = plan.air_names
+        keys = plan.heat_keys
+        pairs = tuple(plan.air_edge_index)  # (src, dst) per air-edge index
+        #: Per region in flow order: (region, sources, exchanges), where
+        #: ``sources`` is None for the inlet, else the region's mixing
+        #: terms ((src region, (src, dst)), ...), and ``exchanges`` its
+        #: stream-exchange pairs ((component index, component, k key), ...).
+        self._layout_regions = tuple(
+            (
+                air[air_i],
+                None if air_i == plan.inlet_air else tuple(
+                    (air[src], pairs[edge_i])
+                    for src, edge_i in plan.incoming.get(air_i, ())
+                ),
+                tuple(
+                    (comp_i, names[comp_i], keys[edge_i])
+                    for comp_i, edge_i in plan.air_heat.get(air_i, ())
+                ),
+            )
+            for air_i in plan.air_order
+        )
+        self._comp_comp = tuple(
+            (names[a], names[b], a, b, keys[edge_i], c_eff)
+            for a, b, edge_i, c_eff in plan.comp_comp
+        )
+        self._air_air_edges = tuple(
+            (air[a], air[b], keys[edge_i]) for a, b, edge_i in plan.air_air
+        )
+        #: (component, m*c, base, span); base and span are None for a
+        #: model the tick calls instead of evaluating Eq. 4 inline.
+        self._components = tuple(
+            (name, mc) + (spec[1:] if spec[0] == "affine" else (None, None))
+            for name, mc, spec in zip(names, plan.mc.tolist(), plan.power_specs)
+        )
+        self._n_comps = len(names)
+        self._flows: Optional[Dict[str, float]] = None
+        self._dt: Optional[float] = None
+
+    def _schedule_flows(self, flows: Dict[str, float], dt: float) -> None:
+        """Rebuild the flow-derived terms for ``flows`` and ``dt``."""
+        fractions = self.state.fractions
+        regions = []
+        for region, sources, exchanges in self._layout_regions:
+            total = None
+            if sources is not None:
+                terms = []
+                for src, pair in sources:
+                    weight = flows.get(src, 0.0) * fractions[pair]
+                    if weight > 0.0:
+                        terms.append((src, weight))
+                sources = tuple(terms)
+                if sources:
+                    total = sum([weight for _, weight in sources])
+            capacity_rate = units.air_heat_capacity_rate(flows.get(region, 0.0))
+            if capacity_rate <= 0.0:
+                exchanges = ()  # no flow: no stream exchange happens
+            regions.append(
+                (region, sources, total, capacity_rate, capacity_rate * dt,
+                 exchanges)
+            )
+        self._regions = tuple(regions)
+        air_air = []
+        for a, b, key in self._air_air_edges:
+            # Each side's per-tick thermal mass is the air that transits
+            # it during the step.
+            mc_a = max(units.air_heat_capacity_rate(flows.get(a, 0.0)) * dt, 1e-9)
+            mc_b = max(units.air_heat_capacity_rate(flows.get(b, 0.0)) * dt, 1e-9)
+            air_air.append((a, b, key, mc_a, mc_b, 1.0 / (1.0 / mc_a + 1.0 / mc_b)))
+        self._air_air = tuple(air_air)
+        self._flows = flows
+        self._dt = dt
+
+    def tick(self, inlet_temperature: float, dt: float) -> None:
+        """Advance the machine one step of ``dt`` seconds."""
+        state = self.state
+        flows = state.flows()
+        if flows is not self._flows or dt != self._dt:
+            self._schedule_flows(flows, dt)
+        temps = state.temperatures
+        k = state.k
+        # Heat gained by each component this tick (J), applied at the
+        # end; until then ``temps`` holds every component's start value.
+        heat = [0.0] * self._n_comps
+
+        # --- intra-machine air traversal (advection + stream exchange) ---
+        for region, sources, total, cr, cr_dt, exchanges in self._regions:
+            if sources is None:
+                t_air = inlet_temperature
+            elif sources:
+                t_air = sum([temps[src] * w for src, w in sources]) / total
+            else:
+                t_air = temps[region]  # stagnant pocket keeps its temperature
+            for comp_i, component, key in exchanges:
+                body = temps[component]
+                t_out = body + (t_air - body) * exp(-(k[key] / cr))
+                heat[comp_i] -= cr_dt * (t_out - t_air)
+                t_air = t_out
+            temps[region] = t_air
+
+        # --- inter-component heat flow + air-air conduction ---
+        for a, b, a_i, b_i, key, c_eff in self._comp_comp:
+            q = c_eff * (temps[a] - temps[b]) * -expm1(-k[key] * dt / c_eff)
+            heat[a_i] -= q
+            heat[b_i] += q
+        for a, b, key, mc_a, mc_b, c_eff in self._air_air:
+            q = c_eff * (temps[a] - temps[b]) * -expm1(-k[key] * dt / c_eff)
+            temps[a] -= q / mc_a
+            temps[b] += q / mc_b
+
+        # --- component self-heating and temperature update ---
+        # set_utilization keeps utilizations in [0, 1], where the power
+        # models' clamp is the identity.
+        utilizations = state.utilizations
+        models = state.power_models
+        for (name, mc, base, span), q in zip(self._components, heat):
+            if span is None:
+                q += models[name].heat(utilizations[name], dt)
+            else:
+                q += (base + utilizations[name] * span) * models[name].factor * dt
+            temps[name] += q / mc

@@ -210,7 +210,7 @@ def execute_spec(
                 f"at t={simulation.time:g}",
                 checkpoint=last,
             )
-        simulation.step()
+        simulation._advance_ticks(1)  # no TickRecord is needed here
         since_checkpoint += simulation.dt
         if spec.checkpoint_every > 0 and since_checkpoint >= spec.checkpoint_every:
             last = simulation.checkpoint()

@@ -173,7 +173,8 @@ def render_html(title: str = "repro serve", threshold: float = 67.0) -> str:
 
 
 def render_text(telemetry, alerts: List[dict], width: int = 80) -> str:
-    """The ``repro top`` frame plus an alert footer (``/dashboard.txt``)."""
+    """The ``repro top`` frame plus an alert footer (``/dashboard.txt``),
+    every line at most ``width`` columns."""
     frame = _render_metrics(telemetry, width=width)
     lines = [frame, "", "ALERTS"]
     if alerts:
@@ -182,7 +183,7 @@ def render_text(telemetry, alerts: List[dict], width: int = 80) -> str:
             shown = "-" if value is None else f"{value:.1f}C"
             lines.append(
                 f"  [{entry['state']:>6}] {entry['rule']} "
-                f"on {entry['machine']} ({shown})"
+                f"on {entry['machine']} ({shown})"[:width]
             )
     else:
         lines.append("  (no alerts evaluated)")

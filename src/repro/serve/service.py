@@ -52,6 +52,9 @@ FRAME_EVERY = 5.0
 #: Wall-clock ceiling between pacing checks, seconds.
 PACE_INTERVAL = 0.25
 
+#: Columns ``/dashboard.txt?width=`` accepts.
+TEXT_WIDTHS = range(20, 501)
+
 
 def _frame_of(record: TickRecord, alerts: List[dict]) -> Dict[str, object]:
     """One JSON-able dashboard frame from a tick record."""
@@ -163,19 +166,19 @@ class ThermalService:
         for deterministic stepping.
         """
         simulation = self.simulation
-        for _ in range(ticks):
-            simulation.step()
+        record = simulation.step(ticks)
         transitions = self.alerts.evaluate(
             simulation.time,
             simulation.service.read_temperature,
             simulation.machines,
         )
-        frame = _frame_of(simulation.records[-1], self.alerts.states())
+        frame = _frame_of(record, self.alerts.states())
         self.frames.append(frame)
         self._tel_frames.inc()
-        self._broadcast(sse_frame(frame, event="tick"))
-        for transition in transitions:
-            self._broadcast(sse_frame(transition, event="alert"))
+        if self._subscribers:  # encode only for someone listening
+            self._broadcast(sse_frame(frame, event="tick"))
+            for transition in transitions:
+                self._broadcast(sse_frame(transition, event="alert"))
         return frame
 
     async def serve(
@@ -285,7 +288,18 @@ class ThermalService:
         )
 
     async def _page_text(self, request: Request) -> Response:
-        width = int(request.param("width", "80"))
+        try:
+            width = int(request.param("width", "80"))
+        except ValueError:
+            return Response.json({"error": "width must be an int"}, 400)
+        if width not in TEXT_WIDTHS:
+            return Response.json(
+                {
+                    "error": f"width must be {TEXT_WIDTHS.start}-"
+                    f"{TEXT_WIDTHS.stop - 1} columns"
+                },
+                400,
+            )
         return Response.text(
             dashboard.render_text(
                 self.telemetry, self.alerts.states(), width=width

@@ -307,3 +307,24 @@ def test_restore_rejects_mismatched_records_before_changing_state():
     with pytest.raises(ClusterError, match="fields"):
         target.apply_checkpoint(state)
     assert len(target.records) == 2
+
+
+def test_step_over_several_ticks_returns_the_last_record():
+    """``step(n)`` runs the same event sequence as ``n`` single steps
+    and returns the record of the last tick."""
+    one_by_one = ClusterSimulation(
+        policy="freon-ec", fiddle_script=chaos_script(),
+        injector=FaultInjector(seed=11),
+    )
+    for _ in range(37):
+        last = one_by_one.step()
+    chunked = ClusterSimulation(
+        policy="freon-ec", fiddle_script=chaos_script(),
+        injector=FaultInjector(seed=11),
+    )
+    assert chunked.step(30) == chunked.records[-1]
+    assert chunked.step(7) == last
+    assert chunked.step(0) == last
+    assert json.dumps(chunked.checkpoint()) == json.dumps(
+        one_by_one.checkpoint()
+    )

@@ -10,6 +10,8 @@ from repro.cli import main
 from repro.cluster.simulation import ClusterSimulation, emergency_script
 from repro.errors import ServeError
 from repro.serve import AlertEngine, AlertRule, ThermalService, http_get
+from repro.serve import service as service_module
+from repro.serve.http import sse_frame
 from repro.telemetry import CONTENT_TYPE_LATEST, Telemetry
 from repro.telemetry.exposition import parse_prometheus
 
@@ -121,6 +123,82 @@ def test_dashboard_pages():
             assert "ALERTS" in body.decode("utf-8")
 
     run(scenario())
+
+
+def test_dashboard_text_width_is_checked():
+    async def scenario():
+        async with ThermalService(make_simulation()) as service:
+            service.advance(10)
+            host, port = service.address
+            for width in ("abc", "100000", "0", "-3", ""):
+                status, _, body = await http_get(
+                    host, port, f"/dashboard.txt?width={width}"
+                )
+                assert status == 400, width
+                assert "width" in json.loads(body)["error"]
+            status, _, body = await http_get(
+                host, port, "/dashboard.txt?width=120"
+            )
+            assert status == 200
+            lines = body.decode("utf-8").splitlines()
+            assert "ALERTS" in lines
+            assert max(len(line) for line in lines) == 120
+
+    run(scenario())
+
+
+def _always_firing(simulation):
+    """A rule that fires on every machine at the first evaluation."""
+    return AlertEngine(
+        [AlertRule(name="always", threshold=0.1, clear_below=0.0)],
+        telemetry=simulation.telemetry,
+    )
+
+
+def test_tick_frames_encoded_only_while_someone_listens(monkeypatch):
+    """A subscriber gets every tick and alert frame, encoded once each;
+    with nobody listening nothing is encoded and the history is the
+    same."""
+    encoded = []
+
+    def counting_sse_frame(data, event=None, id=None):
+        encoded.append(event)
+        return sse_frame(data, event=event, id=id)
+
+    monkeypatch.setattr(service_module, "sse_frame", counting_sse_frame)
+    quiet_simulation = make_simulation()
+    quiet = ThermalService(
+        quiet_simulation, alerts=_always_firing(quiet_simulation)
+    )
+    for _ in range(6):
+        quiet.advance(5)
+    assert encoded == []
+
+    heard_simulation = make_simulation()
+    heard = ThermalService(
+        heard_simulation, alerts=_always_firing(heard_simulation)
+    )
+    queue = heard._subscribe()
+    transitions = []
+    evaluate = heard.alerts.evaluate
+
+    def recording_evaluate(*args):
+        transitions.append(evaluate(*args))
+        return transitions[-1]
+
+    heard.alerts.evaluate = recording_evaluate
+    for _ in range(6):
+        heard.advance(5)
+
+    assert list(heard.frames) == list(quiet.frames)
+    expected = []
+    for frame, fired in zip(heard.frames, transitions):
+        expected.append(sse_frame(frame, event="tick"))
+        expected.extend(sse_frame(t, event="alert") for t in fired)
+    assert sum(len(fired) for fired in transitions) == 4
+    received = [queue.get_nowait() for _ in range(queue.qsize())]
+    assert received == expected
+    assert len(encoded) == len(expected)
 
 
 def test_sse_stream_hello_replay_live_and_alert_frames():
