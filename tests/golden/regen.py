@@ -8,7 +8,7 @@ files are always generated with the reference ``python`` engine.
 
 import json
 
-from . import sweep
+from . import decisions, sweep
 from .traces import GOLDEN_DIR, GOLDEN_TRACES
 
 
@@ -20,6 +20,7 @@ def regenerate() -> None:
         ticks = len(data["times"])
         print(f"wrote {path} ({len(data['series'])} series x {ticks} ticks)")
     sweep.regenerate()
+    decisions.regenerate()
 
 
 if __name__ == "__main__":
