@@ -21,6 +21,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..config import table1
 from ..config.layouts import validation_cluster
+from ..control import ClusterStateView
 from ..core.solver import Solver
 from ..daemons.admd import Admd
 from ..daemons.tempd import Tempd
@@ -82,7 +83,15 @@ class MultiTierResult:
 
 
 class _Tier:
-    """One tier: servers, balancer, Mercury machines, Freon daemons."""
+    """One tier: servers, balancer, Mercury machines, Freon daemons.
+
+    The tier's tempd and admd act through a
+    :class:`~repro.control.view.ClusterStateView` over the tier itself.
+    Tiers have no power control and no fault injector: a REDLINE is
+    recorded and nothing powers off.
+    """
+
+    injector = None
 
     def __init__(
         self,
@@ -102,26 +111,22 @@ class _Tier:
         self.webservers = {
             name: WebServer(name, mix=mix) for name in self.machines
         }
+        self.config = config
         self.admd: Optional[Admd] = None
-        self.tempds: Dict[str, Tempd] = {}
+        self.tempd: Optional[Tempd] = None
         if managed:
-            self.admd = Admd(self.balancer, config=config)
-            for name in self.machines:
-                self.tempds[name] = Tempd(
-                    machine=name,
-                    temperature_reader=self._reader(name),
-                    send=self.admd.deliver,
-                    config=config,
-                )
+            view = ClusterStateView(self)
+            self.admd = Admd(view, config=config)
+            # No network between them: admd handles each message at once.
+            self.tempd = Tempd(view, self.admd.deliver, config=config)
+        self._stats_clock = 0.0
+        self._wake_clock = 0.0
 
-    def _reader(self, name: str):
-        def reader() -> Dict[str, float]:
-            return {
-                "cpu": self.service.read_temperature(name, "cpu"),
-                "disk": self.service.read_temperature(name, "disk"),
-            }
+    def request_on(self, name: str) -> None:
+        """Tiers have no power control."""
 
-        return reader
+    def request_off(self, name: str) -> None:
+        """Tiers have no power control."""
 
     def step(self, offered: float, dt: float, now: float) -> TierRecord:
         capacities = {
@@ -153,11 +158,19 @@ class _Tier:
             )
 
     def tick_daemons(self, dt: float, now: float) -> None:
+        """Advance the daemon clocks: admd samples LVS every stats
+        period, tempd wakes every monitor period."""
         if self.admd is None:
             return
-        self.admd.tick(dt, now)
-        for tempd in self.tempds.values():
-            tempd.tick(dt, now)
+        config = self.config
+        self._stats_clock += dt
+        if self._stats_clock + 1e-9 >= config.stats_period:
+            self._stats_clock = 0.0
+            self.admd.sample(now)
+        self._wake_clock += dt
+        if self._wake_clock + 1e-9 >= config.monitor_period:
+            self._wake_clock = 0.0
+            self.tempd.wake(now)
 
 
 class MultiTierSimulation:

@@ -440,6 +440,8 @@ class ClusterSimulation:
     # -- policy wiring -----------------------------------------------------
 
     def _build_policy(self, regions: Optional[RegionMap]) -> None:
+        #: Freon-EC's physical regions (section 5.2's split by default).
+        self.regions = regions or two_region_split(self.machines)
         self.admd: Optional[Admd] = None
         self.traditional: Optional[TraditionalControlPolicy] = None
         self.tempds: Dict[str, Tempd] = {}
@@ -466,22 +468,11 @@ class ClusterSimulation:
                 "traditional", "cluster", config=self.config
             )
             return
-        if self.policy == "freon":
-            self.admd = Admd(
-                self.balancer, config=self.config, turn_off=self.request_off,
-                telemetry=self.telemetry,
-            )
-            ec_mode = False
-        else:  # freon-ec
-            region_map = regions or two_region_split(self.machines)
-            self.admd = AdmdEC(
-                self.balancer,
-                regions=region_map,
-                power=self,
-                config=self.config,
-                telemetry=self.telemetry,
-            )
-            ec_mode = True
+        # admd and one tempd per machine, all acting through the state
+        # view (the same roles the scale stack composes over its rows).
+        view = self.state_view()
+        role = Admd if self.policy == "freon" else AdmdEC
+        self.admd = role(view, config=self.config, telemetry=self.telemetry)
         # tempd -> admd datagrams traverse the (fault-injectable) channel.
         # In event mode each datagram is a real kernel event with a
         # sub-tick network latency; legacy mode flushes once per tick.
@@ -491,14 +482,10 @@ class ClusterSimulation:
             clock=self.kernel.clock if self.mode == "event" else None,
             latency=self._datagram_latency if self.mode == "event" else 0.0,
         )
-        for name in self.machines:
+        for row, name in enumerate(self.machines):
             self.tempds[name] = Tempd(
-                machine=name,
-                temperature_reader=self._temperature_reader(name),
-                send=self.channel,
-                config=self.config,
-                utilization_reader=self._utilization_reader(name) if ec_mode else None,
-                telemetry=self.telemetry,
+                view, self.channel, config=self.config, rows=(row,),
+                status=role is AdmdEC, telemetry=self.telemetry,
             )
 
     def _cpu_reader(self, name: str):
@@ -517,29 +504,11 @@ class ClusterSimulation:
 
         return apply
 
-    def _temperature_reader(self, name: str):
-        def reader() -> Dict[str, float]:
-            return {
-                "cpu": self.service.read_temperature(name, "cpu"),
-                "disk": self.service.read_temperature(name, "disk"),
-            }
-
-        return reader
-
-    def _utilization_reader(self, name: str):
-        def reader() -> Dict[str, float]:
-            load = self.webservers[name].load
-            return {"cpu": load.cpu_utilization, "disk": load.disk_utilization}
-
-        return reader
-
     # -- control-plane seam --------------------------------------------------
 
     def state_view(self):
-        """A scalar :class:`~repro.control.ClusterStateView` over this
-        simulation, for driving unified :mod:`repro.control` policies
-        against the exact sensor/balancer/power paths the native
-        daemons use."""
+        """The scalar :class:`~repro.control.ClusterStateView` over this
+        simulation: what its tempds read and its admd actuates."""
         view = getattr(self, "_state_view", None)
         if view is None:
             from ..control import ClusterStateView
@@ -548,20 +517,13 @@ class ClusterSimulation:
             self._state_view = view
         return view
 
-    # -- PowerController interface (used by Freon-EC) -----------------------
+    # -- power control (the state view's power switch) ----------------------
 
     def off_servers(self) -> List[str]:
         """Machines currently powered off."""
         return [
             name for name, ws in self.webservers.items()
             if ws.state is PowerState.OFF
-        ]
-
-    def active_servers(self) -> List[str]:
-        """Machines currently accepting load."""
-        return [
-            name for name, ws in self.webservers.items()
-            if ws.state is PowerState.ACTIVE
         ]
 
     def request_on(self, name: str) -> None:
@@ -581,31 +543,16 @@ class ClusterSimulation:
         server.begin_drain()
 
     def _restart_daemon(self, machine: str, daemon: str) -> None:
-        """Watchdog hook: rebuild a crashed daemon's in-memory state.
+        """Watchdog hook: a restarted tempd loses its decision state.
 
-        A restarted tempd gets a fresh controller bank (derivative state
-        does not survive a crash) but keeps knowledge of whether admd
-        holds restrictions for its server — in a real deployment the
-        supervisor hands that over from admd on reconnect.
-
-        The wake cadence needs no attention here: the kernel keeps one
-        "wake" event per machine on the monitor-period grid regardless
-        of crashes, so a restarted daemon is structurally aligned with
-        the grid rather than re-deriving a phase.
+        See :meth:`Tempd.restart`: the PD derivative, last output and
+        last good reading go; the restriction flag and the resilience
+        counts stay.  The wake cadence needs no attention here: the
+        kernel keeps one "wake" event per machine on the monitor-period
+        grid regardless of crashes.
         """
-        if daemon != "tempd" or machine not in self.tempds:
-            return  # monitord has no in-memory state to rebuild here
-        old = self.tempds[machine]
-        replacement = Tempd(
-            machine=machine,
-            temperature_reader=self._temperature_reader(machine),
-            send=self.channel,
-            config=self.config,
-            utilization_reader=old._read_utilizations,
-            telemetry=self.telemetry,
-        )
-        replacement.restricted = old.restricted
-        self.tempds[machine] = replacement
+        if daemon == "tempd" and machine in self.tempds:
+            self.tempds[machine].restart(machine)
 
     def _set_machine_power(self, name: str, on: bool) -> None:
         factor = 1.0 if on else 0.0
@@ -786,8 +733,6 @@ class ClusterSimulation:
                 self.balancer.activate(name)
                 self.balancer.set_weight(name, self.config.base_weight)
                 self.balancer.set_connection_limit(name, None)
-                if name in self.tempds:
-                    self.tempds[name].restricted = False
 
         # Monitord feed plus one solver advance (step, or coast when the
         # idle fast-forward has proven the field converged).
@@ -931,15 +876,10 @@ class ClusterSimulation:
     def _ev_wake(self, event: Event) -> None:
         name = event.payload["machine"]
         now = event.time
-        tempd = self.tempds.get(name)
-        if (
-            tempd is not None
-            and self.webservers[name].state is PowerState.ACTIVE
-            and self.injector.daemon_up(name, "tempd")
-        ):
-            tempd.wake(now)
-            if self.mode == "event":
-                self._schedule_delivery()
+        # The tempd skips the wake while its machine is not accepting
+        # load or the daemon is down.
+        if self.tempds[name].wake(now) and self.mode == "event":
+            self._schedule_delivery()
         self.kernel.schedule(
             now + self.config.monitor_period, PRIORITY_WAKE, "wake",
             {"machine": name},
@@ -1097,8 +1037,9 @@ class ClusterSimulation:
     #: Checkpoint format version; bumped on incompatible layout changes.
     #: Version 2 added the pending event queue (the kernel refactor);
     #: version 3 stores the traditional policy's own checkpoint (dead
-    #: machines and shutdowns, no cadence clock).
-    CHECKPOINT_VERSION = 3
+    #: machines and shutdowns, no cadence clock); version 4 stores each
+    #: tempd's and the admd's own checkpoints.
+    CHECKPOINT_VERSION = 4
 
     def checkpoint(self) -> Dict[str, object]:
         """Snapshot the entire simulation as plain JSON-able data.
@@ -1149,10 +1090,9 @@ class ClusterSimulation:
             for name, ws in self.webservers.items()
         }
         tempd_state = {
-            name: self._tempd_checkpoint(tempd)
-            for name, tempd in self.tempds.items()
+            name: tempd.checkpoint() for name, tempd in self.tempds.items()
         }
-        admd_state = self._admd_checkpoint() if self.admd is not None else None
+        admd_state = None if self.admd is None else self.admd.checkpoint()
         traditional_state = (
             None if self.traditional is None else self.traditional.checkpoint()
         )
@@ -1260,9 +1200,9 @@ class ClusterSimulation:
             ws.load = ServerLoad(**saved["load"])
         for name, saved in data["tempds"].items():
             if name in self.tempds:
-                self._tempd_restore(self.tempds[name], saved)
+                self.tempds[name].restore(saved)
         if self.admd is not None and data["admd"] is not None:
-            self._admd_restore(data["admd"])
+            self.admd.restore(data["admd"])
         if self.traditional is not None and data["traditional"] is not None:
             self.traditional.restore(data["traditional"])
         for name, saved in data["governors"].items():
@@ -1300,112 +1240,6 @@ class ClusterSimulation:
         self._clone_scales = [
             float(s) for s in data.get("clone_scales", [])
         ]
-
-    @staticmethod
-    def _tempd_checkpoint(tempd: Tempd) -> Dict[str, object]:
-        last_good = tempd._last_good
-        return {
-            "restricted": tempd.restricted,
-            "hot_components": list(tempd.hot_components),
-            "elapsed": tempd._elapsed,
-            "last_good": (
-                None if last_good is None
-                else [last_good[0], dict(last_good[1])]
-            ),
-            "last_output": tempd._last_output,
-            "read_failures": tempd.read_failures,
-            "stale_wakes": tempd.stale_wakes,
-            "conservative_wakes": tempd.conservative_wakes,
-            "messages_sent": tempd.messages_sent,
-            "controllers": {
-                component: controller._last_temperature
-                for component, controller
-                in tempd._controllers._controllers.items()
-            },
-        }
-
-    @staticmethod
-    def _tempd_restore(tempd: Tempd, saved: Mapping[str, object]) -> None:
-        tempd.restricted = bool(saved["restricted"])
-        tempd.hot_components = list(saved["hot_components"])
-        tempd._elapsed = float(saved["elapsed"])
-        last_good = saved["last_good"]
-        tempd._last_good = (
-            None if last_good is None
-            else (float(last_good[0]), dict(last_good[1]))
-        )
-        tempd._last_output = (
-            None if saved["last_output"] is None
-            else float(saved["last_output"])
-        )
-        tempd.read_failures = int(saved["read_failures"])
-        tempd.stale_wakes = int(saved["stale_wakes"])
-        tempd.conservative_wakes = int(saved["conservative_wakes"])
-        tempd.messages_sent = int(saved["messages_sent"])
-        for component, last in saved["controllers"].items():
-            tempd._controllers.controller(component)._last_temperature = last
-
-    def _admd_checkpoint(self) -> Dict[str, object]:
-        admd = self.admd
-        assert admd is not None
-        state: Dict[str, object] = {
-            "stats_elapsed": admd._stats_elapsed,
-            "samples": {
-                name: [[t, c] for t, c in window]
-                for name, window in admd._samples.items()
-            },
-            "adjustments": [list(a) for a in admd.adjustments],
-            "releases": [list(r) for r in admd.releases],
-            "redlined": [list(r) for r in admd.redlined],
-        }
-        if isinstance(admd, AdmdEC):
-            state["ec"] = {
-                "utilizations": {
-                    name: dict(u) for name, u in admd._utilizations.items()
-                },
-                "previous_average": (
-                    None if admd._previous_average is None
-                    else dict(admd._previous_average)
-                ),
-                "hot": dict(admd._hot),
-                "events": [asdict(e) for e in admd.events],
-                "emergencies": dict(admd.regions._emergencies),
-                "rr_index": admd.regions._rr_index,
-            }
-        return state
-
-    def _admd_restore(self, saved: Mapping[str, object]) -> None:
-        from collections import deque
-
-        admd = self.admd
-        assert admd is not None
-        admd._stats_elapsed = float(saved["stats_elapsed"])
-        for name, window in saved["samples"].items():
-            admd._samples[name] = deque(
-                (float(t), float(c)) for t, c in window
-            )
-        admd.adjustments = [
-            (float(t), str(m), float(o)) for t, m, o in saved["adjustments"]
-        ]
-        admd.releases = [(float(t), str(m)) for t, m in saved["releases"]]
-        admd.redlined = [(float(t), str(m)) for t, m in saved["redlined"]]
-        if isinstance(admd, AdmdEC) and "ec" in saved:
-            from ..freon.ec import EcEvent
-
-            ec = saved["ec"]
-            admd._utilizations = {
-                name: dict(u) for name, u in ec["utilizations"].items()
-            }
-            admd._previous_average = (
-                None if ec["previous_average"] is None
-                else dict(ec["previous_average"])
-            )
-            admd._hot = {name: bool(v) for name, v in ec["hot"].items()}
-            admd.events = [EcEvent(**e) for e in ec["events"]]
-            admd.regions._emergencies = {
-                region: int(n) for region, n in ec["emergencies"].items()
-            }
-            admd.regions._rr_index = int(ec["rr_index"])
 
     def result(self) -> SimulationResult:
         """Bundle the run's records and policy logs."""

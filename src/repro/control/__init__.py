@@ -9,8 +9,9 @@ from emulation, applied to this repo's two stacks:
   weights/caps/power/DVFS) with a scalar backend over
   :class:`~repro.cluster.simulation.ClusterSimulation` and a vectorized
   backend over :class:`~repro.topology.sim.ScaleSimulation`.
-* :mod:`repro.control.policies` — Freon, Freon-EC, traditional
-  shutdown, and emergency control rewritten once against the view.
+* :mod:`repro.control.policies` — Freon and Freon-EC composed from
+  the tempd/admd roles, traditional shutdown, and emergency control,
+  all acting through the view.
 * :mod:`repro.control.registry` — the policy name registry both stacks
   validate against and build from.
 * :mod:`repro.control.parity` — the scalar-vs-vectorized equivalence

@@ -6,9 +6,9 @@ local DVFS — is registered here exactly once, with the set of simulation
 stacks it can run on:
 
 * ``"cluster"`` — the per-machine :class:`~repro.cluster.simulation.
-  ClusterSimulation` (real daemons, event kernel, the paper's section 5
-  experiments).  Cluster-native policies keep their daemon
-  implementations (tempd/admd/...); the registry only names them so the
+  ClusterSimulation` (event kernel, the paper's section 5 experiments).
+  It wires Freon's roles (one tempd per machine, one admd) and the
+  local DVFS governors itself; the registry names every policy so the
   two stacks validate against one list.
 * ``"scale"`` — the flattened :class:`~repro.topology.sim.
   ScaleSimulation` (1k-10k machines on one NumPy array).  Scale-capable
@@ -40,8 +40,9 @@ class PolicySpec:
 
     ``factory`` builds the stack-agnostic :class:`~repro.control.
     policies.ControlPolicy` (``factory(**kwargs)``); it is ``None`` for
-    policies that only exist as cluster-native daemons (their name is
-    still registered so both stacks share one validation list).
+    ``"none"`` and for ``"local-dvfs"``, which the cluster harness wires
+    itself (their names are still registered so both stacks share one
+    validation list).
     """
 
     name: str
@@ -105,8 +106,7 @@ def build(name: str, stack: str, **kwargs) -> object:
     """Instantiate a policy's stack-agnostic implementation.
 
     ``None`` when the policy is registered for the stack but has no
-    view-driven factory (e.g. ``"none"`` — and cluster-native daemons
-    looked up for validation only).
+    view-driven factory (``"none"`` and ``"local-dvfs"``).
     """
     spec = get(name, stack)
     if spec.factory is None:

@@ -2,18 +2,19 @@
 
 A :class:`MachineStateView` gives a management policy everything it may
 observe or actuate about a room full of machines — component
-temperatures (through the fault-injectable sensor path), LVS scheduling
-weights, concurrency caps, power state, DVFS — as NumPy arrays indexed
+temperatures (through the fault-injectable sensor path), utilizations,
+LVS scheduling weights, concurrency caps and statistics, power state,
+regions, daemon liveness and datagram fates — as NumPy arrays indexed
 by canonical machine order, regardless of which simulation stack sits
 beneath:
 
 * :class:`ClusterStateView` adapts a per-machine
   :class:`~repro.cluster.simulation.ClusterSimulation`: temperature
   reads go through its :class:`~repro.sensors.server.SensorService`
-  (alias resolution + injected sensor faults, exactly what the real
-  tempd daemons read), weights/caps through its
+  (alias resolution + injected sensor faults), weights/caps through its
   :class:`~repro.cluster.lvs.LoadBalancer`, power through its
-  ``request_on``/``request_off`` drain semantics.
+  ``request_on``/``request_off`` drain semantics, regions through its
+  region map.
 * :class:`FlatStateView` adapts a :class:`~repro.topology.sim.
   ScaleSimulation`: temperature reads are column copies off the
   flattened :class:`~repro.topology.sim.FlatSolver` array (with the
@@ -21,10 +22,11 @@ beneath:
   and caps are the simulation's vectorized allocation inputs, power
   cuts a machine's power-scale row.
 
-Both views present the *same* contract, so a policy written once (see
-:mod:`repro.control.policies`) runs unchanged on either stack; the
-parity harness in :mod:`repro.control.parity` proves the decisions
-match.  Failed sensor reads surface as ``NaN`` (per machine,
+Both views present the *same* contract, so the Freon roles
+(:mod:`repro.daemons`, :mod:`repro.freon.ec`) and the policies of
+:mod:`repro.control.policies` run unchanged on either stack; the
+parity harness in :mod:`repro.control.parity` compares the decisions
+and temperatures.  Failed sensor reads surface as ``NaN`` (per machine,
 atomically: if any component's read fails the whole machine's read
 fails, like tempd's one-shot reader) rather than exceptions, so
 vectorized policies can mask instead of branch.
@@ -32,7 +34,7 @@ vectorized policies can mask instead of branch.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Protocol, Sequence, Tuple
+from typing import Dict, Optional, Protocol, Sequence, Tuple
 
 import numpy as np
 
@@ -107,47 +109,43 @@ class MachineStateView(Protocol):
     def datagram_fate(self) -> Tuple[bool, bool, float]:
         """One policy datagram's (dropped, duplicated, delay) fate."""
 
-    def set_dvfs(self, index: int, frequency: float, power: float) -> None:
-        """Apply a DVFS operating point to one machine's CPU."""
-
 
 class ClusterStateView:
     """Scalar backend: a view over a live :class:`ClusterSimulation`.
 
-    Reads go through the simulation's sensor service and balancer — the
-    identical code paths the native daemons use — so a unified policy
-    driven against this view reproduces the daemon stack's decisions
-    exactly (see ``tests/control/test_cluster_view.py``).  Obtain one
-    via :meth:`ClusterSimulation.state_view`.
+    Reads go through the simulation's sensor service and balancer, so
+    faulted sensors lie and fail here exactly as they would to a real
+    tempd.  The simulation's own tempds and admd act through this view;
+    obtain it via :meth:`ClusterSimulation.state_view`.
     """
 
     def __init__(self, simulation) -> None:
+        from ..cluster.webserver import PowerState
+
         self._sim = simulation
         self.machines: Tuple[str, ...] = tuple(simulation.machines)
-        self._regions = {
-            name: simulation.topology.positions[name].zone
-            for name in self.machines
-        } if simulation.topology is not None else {}
+        self._codes = {
+            PowerState.OFF: POWER_OFF,
+            PowerState.BOOTING: POWER_BOOTING,
+            PowerState.ACTIVE: POWER_ACTIVE,
+            PowerState.DRAINING: POWER_DRAINING,
+        }
 
     def read_temperatures(self, components, mask=None):
-        sim = self._sim
-        out = {c: np.full(len(self.machines), np.nan) for c in components}
-        for i, name in enumerate(self.machines):
-            if mask is not None and not mask[i]:
-                continue
+        read = self._sim.service.read_temperature
+        n = len(self.machines)
+        out = {c: np.full(n, np.nan) for c in components}
+        rows = range(n) if mask is None else mask.nonzero()[0].tolist()
+        for i in rows:
+            name = self.machines[i]
             try:
-                # Sequential reads, aborted at the first failure: the
-                # native tempd reader builds its dict the same way, so
-                # fault-RNG consumption matches read for read.
-                values = [
-                    sim.service.read_temperature(name, c) for c in components
-                ]
+                # Sequential reads, aborted at the first failure, so a
+                # failed read consumes no fault RNG for later classes.
+                values = [read(name, c) for c in components]
             except SensorError:
-                for c in components:
-                    out[c][i] = np.nan
-            else:
-                for c, value in zip(components, values):
-                    out[c][i] = value
+                continue  # the row stays NaN in every class
+            for c, value in zip(components, values):
+                out[c][i] = value
         return out
 
     def read_utilizations(self, components):
@@ -174,29 +172,14 @@ class ClusterStateView:
         return np.array([stats[name] for name in self.machines])
 
     def power_states(self):
-        from ..cluster.webserver import PowerState
-
-        codes = {
-            PowerState.OFF: POWER_OFF,
-            PowerState.BOOTING: POWER_BOOTING,
-            PowerState.ACTIVE: POWER_ACTIVE,
-            PowerState.DRAINING: POWER_DRAINING,
-        }
+        codes = self._codes
         ws = self._sim.webservers
         return np.array(
             [codes[ws[name].state] for name in self.machines], dtype=np.int64
         )
 
     def power_state(self, index):
-        from ..cluster.webserver import PowerState
-
-        state = self._sim.webservers[self.machines[index]].state
-        return {
-            PowerState.OFF: POWER_OFF,
-            PowerState.BOOTING: POWER_BOOTING,
-            PowerState.ACTIVE: POWER_ACTIVE,
-            PowerState.DRAINING: POWER_DRAINING,
-        }[state]
+        return self._codes[self._sim.webservers[self.machines[index]].state]
 
     def set_power(self, index, on):
         name = self.machines[index]
@@ -206,12 +189,11 @@ class ClusterStateView:
             self._sim.request_off(name)
 
     def region_of(self, index):
-        name = self.machines[index]
-        return self._regions.get(name, f"region{index % 2}")
+        return self._sim.regions.region_of(self.machines[index])
 
     def daemons_up(self):
         injector = self._sim.injector
-        if not injector.any_active:
+        if injector is None or not injector.any_active:
             return np.ones(len(self.machines), dtype=bool)
         return np.array(
             [injector.daemon_up(name, "tempd") for name in self.machines],
@@ -220,22 +202,17 @@ class ClusterStateView:
 
     def has_network_faults(self):
         injector = self._sim.injector
-        return injector.any_active and any(
-            f.spec.is_network for f in injector.active
+        return (
+            injector is not None
+            and injector.any_active
+            and any(f.spec.is_network for f in injector.active)
         )
 
     def datagram_fate(self):
         injector = self._sim.injector
-        if not injector.any_active:
+        if injector is None or not injector.any_active:
             return (False, False, 0.0)
         return injector.datagram_fate()
-
-    def set_dvfs(self, index, frequency, power):
-        from ..config import table1
-
-        name = self.machines[index]
-        self._sim.webservers[name].set_speed_factor(frequency)
-        self._sim.solver.machine(name).set_power_scale(table1.CPU, power)
 
 
 class FlatStateView:
@@ -378,8 +355,3 @@ class FlatStateView:
         if injector is None or not injector.any_active:
             return (False, False, 0.0)
         return injector.datagram_fate()
-
-    def set_dvfs(self, index, frequency, power):
-        raise ControlError(
-            "the flattened stack has no per-machine DVFS model"
-        )

@@ -11,18 +11,21 @@ Section 4.1: on an ADJUST message for a hot server, admd
   about this statistic".
 
 A RELEASE message eliminates all restrictions; a REDLINE message makes
-admd turn the server off through the cluster's power-control hook
-("Modern CPUs and disks turn themselves off when these temperatures are
-reached; Freon extends the action to entire servers").
+admd turn the server off ("Modern CPUs and disks turn themselves off
+when these temperatures are reached; Freon extends the action to entire
+servers").
+
+admd acts on a :class:`~repro.control.view.MachineStateView`: LVS
+weights, caps and statistics, and the power switch, for every row.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
-from typing import Callable, Deque, Dict, List, Optional, Tuple
+from typing import Deque, Dict, List, Optional, Tuple
 
-from ..cluster.lvs import LoadBalancer, ServerState
+import numpy as np
+
 from ..freon.policy import FreonConfig, weight_for_share_reduction
 from ..telemetry import ensure as _ensure_telemetry
 from .tempd import (
@@ -39,14 +42,17 @@ class Admd:
 
     def __init__(
         self,
-        balancer: LoadBalancer,
+        view,
         config: Optional[FreonConfig] = None,
-        turn_off: Optional[Callable[[str], None]] = None,
         telemetry=None,
     ) -> None:
-        self.balancer = balancer
+        # Imported here: repro.control composes this module.
+        from ..control.view import POWER_ACTIVE
+
+        self._active = POWER_ACTIVE
+        self.view = view
         self.config = config or FreonConfig()
-        self._turn_off = turn_off
+        self._row = {name: i for i, name in enumerate(view.machines)}
         self.telemetry = _ensure_telemetry(telemetry)
         self._tel_actions = {
             action: self.telemetry.counter(
@@ -55,40 +61,37 @@ class Admd:
             )
             for action in ("adjust", "release", "redline")
         }
-        self._stats_elapsed = 0.0
-        #: Rolling (time, connections) samples per server.
-        self._samples: Dict[str, Deque[Tuple[float, float]]] = {
-            server.name: deque() for server in balancer.servers()
-        }
+        #: Rolling (time, connections per row) LVS samples.
+        self._window: Deque[Tuple[float, "np.ndarray"]] = deque()
+        #: Mean of the window, computed at most once between samples.
+        self._average: Optional["np.ndarray"] = None
         self.adjustments: List[Tuple[float, str, float]] = []
         self.releases: List[Tuple[float, str]] = []
         self.redlined: List[Tuple[float, str]] = []
 
     # -- LVS statistics sampling -------------------------------------------
 
-    def tick(self, dt: float, now: float) -> None:
-        """Advance the statistics clock; sample LVS every stats period."""
-        self._stats_elapsed += dt
-        if self._stats_elapsed + 1e-9 < self.config.stats_period:
-            return
-        self._stats_elapsed = 0.0
-        self.sample(now)
-
     def sample(self, now: float) -> None:
-        """Record one LVS connection-count sample per server."""
+        """Record one LVS connection-count sample of every row."""
+        window = self._window
+        window.append((now, self.view.connections()))
         horizon = now - self.config.monitor_period
-        for name, connections in self.balancer.connection_stats().items():
-            window = self._samples[name]
-            window.append((now, connections))
-            while window and window[0][0] < horizon:
-                window.popleft()
+        while window and window[0][0] < horizon:
+            window.popleft()
+        self._average = None
 
     def average_connections(self, machine: str) -> float:
         """Mean concurrent connections over the last monitor period."""
-        window = self._samples.get(machine)
-        if not window:
-            return self.balancer.server(machine).active_connections
-        return sum(c for _, c in window) / len(window)
+        i = self._row[machine]
+        if not self._window:
+            return float(self.view.connections()[i])
+        if self._average is None:
+            total = None
+            for _, connections in self._window:
+                # Left fold, sample by sample, like a per-server sum().
+                total = connections if total is None else total + connections
+            self._average = total / len(self._window)
+        return float(self._average[i])
 
     # -- message handling ------------------------------------------------------
 
@@ -103,21 +106,23 @@ class Admd:
         elif message.type == MSG_STATUS:
             self._handle_status(message)
 
+    def _active_rows(self) -> "np.ndarray":
+        return np.flatnonzero(self.view.power_states() == self._active)
+
     def _handle_adjust(self, message: TempdMessage) -> None:
         machine = message.machine
-        server = self.balancer.server(machine)
-        if server.state is not ServerState.ACTIVE:
-            return
-        weights = {
-            s.name: s.weight for s in self.balancer.active_servers()
-        }
+        view = self.view
+        i = self._row[machine]
+        if view.power_state(i) != self._active:
+            return  # drained/booting machines take no load to shift
+        weights = view.weights()
         new_weight = weight_for_share_reduction(
-            weights, machine, message.output, telemetry=self.telemetry
+            {view.machines[j]: float(weights[j])
+             for j in self._active_rows().tolist()},
+            machine, message.output, telemetry=self.telemetry,
         )
-        self.balancer.set_weight(machine, new_weight)
-        self.balancer.set_connection_limit(
-            machine, self.average_connections(machine)
-        )
+        view.set_weight(i, new_weight)
+        view.set_connection_cap(i, self.average_connections(machine))
         self.adjustments.append((message.time, machine, message.output))
         self._tel_actions["adjust"].inc()
         if self.telemetry.enabled:
@@ -132,8 +137,9 @@ class Admd:
 
     def _handle_release(self, message: TempdMessage) -> None:
         machine = message.machine
-        self.balancer.set_weight(machine, self.config.base_weight)
-        self.balancer.set_connection_limit(machine, None)
+        i = self._row[machine]
+        self.view.set_weight(i, self.config.base_weight)
+        self.view.set_connection_cap(i, None)
         self.releases.append((message.time, machine))
         self._tel_actions["release"].inc()
         if self.telemetry.enabled:
@@ -149,8 +155,30 @@ class Admd:
         self._tel_actions["redline"].inc()
         if self.telemetry.enabled:
             self.telemetry.event("freon_redline", "admd", machine=machine)
-        if self._turn_off is not None:
-            self._turn_off(machine)
+        self.view.set_power(self._row[machine], False)
 
     def _handle_status(self, message: TempdMessage) -> None:
         """Base Freon ignores STATUS; Freon-EC overrides this."""
+
+    # -- checkpoint / restore ----------------------------------------------
+
+    def checkpoint(self) -> Dict[str, object]:
+        """Statistics window and decision records as JSON-able data."""
+        return {
+            "window": [[t, c.tolist()] for t, c in self._window],
+            "adjustments": [list(a) for a in self.adjustments],
+            "releases": [list(r) for r in self.releases],
+            "redlined": [list(r) for r in self.redlined],
+        }
+
+    def restore(self, data: Dict[str, object]) -> None:
+        """Restore a :meth:`checkpoint`."""
+        self._window = deque(
+            (float(t), np.array(c, dtype=float)) for t, c in data["window"]
+        )
+        self._average = None
+        self.adjustments = [
+            (float(t), str(m), float(o)) for t, m, o in data["adjustments"]
+        ]
+        self.releases = [(float(t), str(m)) for t, m in data["releases"]]
+        self.redlined = [(float(t), str(m)) for t, m in data["redlined"]]

@@ -5,15 +5,14 @@ turn uses this package's policy types, so an eager import would be
 circular.
 """
 
-from .controller import ControllerBank, PDController
 from .local import DEFAULT_PSTATES, DvfsGovernor, PStateChange
 from .policy import ComponentThresholds, FreonConfig, weight_for_share_reduction
 from .regions import RegionMap, two_region_split
 from .traditional import Shutdown
 
 __all__ = [
-    "AdmdEC", "ComponentThresholds", "ControllerBank", "EcEvent",
-    "FreonConfig", "PDController", "RegionMap", "Shutdown",
+    "AdmdEC", "ComponentThresholds", "EcEvent",
+    "FreonConfig", "RegionMap", "Shutdown",
     "two_region_split", "weight_for_share_reduction",
     "DEFAULT_PSTATES", "DvfsGovernor", "PStateChange",
 ]

@@ -15,7 +15,10 @@ from typing import Dict
 
 from ..config import table1
 from ..errors import ClusterError
-from .controller import DEFAULT_KD, DEFAULT_KP
+
+#: Paper values for tempd's PD-controller gains.
+DEFAULT_KP = 0.1
+DEFAULT_KD = 0.2
 
 
 @dataclass(frozen=True)

@@ -76,8 +76,9 @@ from .recirculation import RecirculationOperator
 #: Checkpoint format version for :class:`ScaleSimulation`.  Version 2
 #: added power states, concurrency caps, boot timers, inlet-event
 #: cursors, and the policy's own state; version 3 adds the traditional
-#: policy's shutdown records to that state.
-CHECKPOINT_VERSION = 3
+#: policy's shutdown records to that state; in version 4 Freon's state
+#: is its tempd's and admd's own checkpoints.
+CHECKPOINT_VERSION = 4
 
 #: Boot behavior mirroring :class:`~repro.cluster.webserver.WebServer`:
 #: a booting machine burns full CPU and most of its disk for

@@ -6,6 +6,7 @@ from repro.cluster.simulation import ClusterSimulation, chaos_script
 from repro.cluster.tracegen import constant_trace
 from repro.faults.injector import FaultInjector
 from repro.faults.model import FaultKind, FaultSpec
+from repro.telemetry import Telemetry
 
 
 def short_trace(rate=120.0, duration=400.0):
@@ -93,6 +94,44 @@ class TestWatchdog:
         restarted = sim.tempds["machine1"]
         assert sim.injector.daemon_up("machine1", "tempd")
         assert restarted.telemetry is sim.telemetry
+
+
+    def test_restart_keeps_the_resilience_counts(self):
+        # Six conservative wakes (t=60..360, no good read ever), then a
+        # crash at 500 s and a restart at 510 s: the tempd's own counts
+        # must still agree with its telemetry counters afterwards.
+        script = (
+            "fault machine1 sensor dropout cpu for 400\n"
+            "sleep 500\n"
+            "fault machine1 daemon crash tempd\n"
+        )
+        telemetry = Telemetry()
+        sim = ClusterSimulation(
+            policy="freon", fiddle_script=script, telemetry=telemetry
+        )
+        result = sim.run(600)
+        assert [(r.time, r.machine) for r in result.restarts] == [
+            (510.0, "machine1")
+        ]
+        tempd = sim.tempds["machine1"]
+        registry = telemetry.registry
+        labels = {"machine": "machine1"}
+        for field, family in (
+            ("read_failures", "tempd_read_failures_total"),
+            ("stale_wakes", "tempd_stale_wakes_total"),
+            ("conservative_wakes", "tempd_conservative_wakes_total"),
+        ):
+            assert getattr(tempd, field) == registry.counter(
+                family, labels
+            ).value
+        assert tempd.read_failures == tempd.conservative_wakes == 6
+        sent = sum(
+            registry.counter(
+                "tempd_messages_total", {**labels, "type": kind}
+            ).value
+            for kind in ("adjust", "release", "redline", "status")
+        )
+        assert tempd.messages_sent == sent > 6
 
 
 class TestDeterminism:

@@ -113,3 +113,28 @@ class TestFreonPerTier:
         records = runs["freon"].records
         peak_util = max(r.app.cpu_utilizations["app2"] for r in records)
         assert peak_util > 0.70
+
+
+class TestDaemonCadence:
+    def test_tiers_sample_and_wake_on_their_periods(self, monkeypatch):
+        # Each tier's admd samples LVS every stats period (5 s) and its
+        # tempd wakes every monitor period (60 s), web tier first.
+        from repro.daemons.admd import Admd
+        from repro.daemons.tempd import Tempd
+
+        calls = []
+        wake, sample = Tempd.wake, Admd.sample
+        monkeypatch.setattr(Tempd, "wake", lambda self, now: (
+            calls.append(("wake", self.machines[0], now)), wake(self, now)
+        )[1])
+        monkeypatch.setattr(Admd, "sample", lambda self, now: (
+            calls.append(("sample", self.view.machines[0], now)),
+            sample(self, now),
+        )[1])
+        sim = MultiTierSimulation(trace=constant_trace(60.0, 400.0))
+        sim.run(125)
+        wakes = [(m, t) for kind, m, t in calls if kind == "wake"]
+        assert wakes == [("web1", 60.0), ("app1", 60.0),
+                         ("web1", 120.0), ("app1", 120.0)]
+        samples = [t for kind, m, t in calls if kind == "sample" and m == "web1"]
+        assert samples == [float(t) for t in range(5, 126, 5)]

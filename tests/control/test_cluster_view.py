@@ -1,13 +1,12 @@
-"""The scalar backend: unified policies vs the native cluster daemons.
+"""The scalar backend: the cluster's Freon roles through its state view.
 
-The strongest claim the control-plane refactor can make on the cluster
-stack: drive a ``ClusterSimulation(policy="none")`` from the *outside*
-with a unified policy acting through :meth:`ClusterSimulation.
-state_view`, and the decisions, weights, and temperatures are
-bit-identical to the native tempd/admd daemon stack running the same
-experiment.  (The native daemons are untouched by the refactor — the
-Fig. 11/12 goldens pin that — so agreement here proves the unified
-rewrite is a faithful port, not a behavioral fork.)
+``ClusterSimulation`` runs Freon as one tempd per machine and one admd,
+all acting through :meth:`ClusterSimulation.state_view`; the registry's
+``FreonPolicy``/``FreonECPolicy`` compose the same roles over every row
+of a view.  Driving the registry policy from the *outside* of a
+``policy="none"`` simulation must therefore reproduce the golden
+decision logs (``tests/golden/freon_decisions.json``) and the cluster's
+own run, weight for weight and temperature for temperature.
 """
 
 import numpy as np
@@ -17,14 +16,20 @@ from repro.cluster.simulation import ClusterSimulation, emergency_script
 from repro.config import table1
 from repro.control import build
 from repro.freon.policy import FreonConfig
+from repro.freon.regions import RegionMap
+from repro.topology import grid_topology
+
+from ..golden import decisions as golden
+
+DURATION = golden.DURATION
 
 
 def _drive_unified(policy_name, duration, fiddle_script):
-    """Run policy="none" with a unified policy over the state view.
+    """Run policy="none" with a registry policy over the state view.
 
-    The native daemons sample every ``stats_period`` (5 s) and wake
-    every ``monitor_period`` (60 s), both firing in a tick's tail — so
-    the external loop calls sample/wake right after the matching tick.
+    The cluster's admd samples every ``stats_period`` (5 s) and its
+    tempds wake every ``monitor_period`` (60 s), both in a tick's tail —
+    so the external loop calls sample/wake right after the matching tick.
     """
     sim = ClusterSimulation(policy="none", fiddle_script=fiddle_script)
     policy = build(policy_name, "cluster", config=FreonConfig())
@@ -52,52 +57,54 @@ def _weights(sim):
 
 
 class TestUnifiedFreonMatchesNative:
-    DURATION = 1500.0  # emergencies at t=480s; adjustments from ~1020s
-
     def test_decisions_weights_temperatures_identical(self):
         script = emergency_script()
-        native = ClusterSimulation(policy="freon", fiddle_script=script)
-        native.run(self.DURATION)
-        unified_sim, unified = _drive_unified(
-            "freon", self.DURATION, script
+        stored = golden.load()["fig11_freon"]
+        unified_sim, unified = _drive_unified("freon", DURATION, script)
+        assert stored["adjustments"], (
+            "the emergency window never tripped Freon; the run exercised "
+            "nothing"
         )
-
-        admd = native.admd
-        assert len(admd.adjustments) > 0, (
-            "the emergency window never tripped Freon; the parity run "
-            "exercised nothing"
+        golden.compare(
+            [list(a) for a in unified.adjustments], stored["adjustments"],
+            "adjustments",
         )
-        assert unified.adjustments == admd.adjustments
-        assert unified.releases == admd.releases
-        assert unified.redlined == admd.redlined
-        assert np.array_equal(_weights(native), _weights(unified_sim))
+        golden.compare(
+            [list(r) for r in unified.releases], stored["releases"],
+            "releases",
+        )
+        golden.compare(
+            [list(r) for r in unified.redlined], stored["redlined"],
+            "redlined",
+        )
+        cluster = ClusterSimulation(policy="freon", fiddle_script=script)
+        cluster.run(DURATION)
+        assert np.array_equal(_weights(cluster), _weights(unified_sim))
         assert np.abs(
-            _cpu_temperatures(native) - _cpu_temperatures(unified_sim)
+            _cpu_temperatures(cluster) - _cpu_temperatures(unified_sim)
         ).max() <= 1e-9
 
 
 class TestUnifiedFreonECMatchesNative:
-    DURATION = 600.0  # EC reconfigures from the first wake at t=60s
-
     def test_ec_events_and_temperatures_identical(self):
         script = emergency_script()
-        native = ClusterSimulation(policy="freon-ec", fiddle_script=script)
-        native.run(self.DURATION)
-        unified_sim, unified = _drive_unified(
-            "freon-ec", self.DURATION, script
+        stored = golden.load()["fig12_freon_ec"]
+        unified_sim, unified = _drive_unified("freon-ec", DURATION, script)
+        events = [
+            {"time": e.time, "action": e.action, "machine": e.machine,
+             "reason": e.reason}
+            for e in unified.events
+        ]
+        assert stored["ec_events"]
+        golden.compare(events, stored["ec_events"], "ec_events")
+        golden.compare(
+            [list(a) for a in unified.adjustments], stored["adjustments"],
+            "adjustments",
         )
-
-        native_events = [
-            (e.time, e.action, e.machine, e.reason)
-            for e in native.admd.events
-        ]
-        unified_events = [
-            (e.time, e.action, e.machine, e.reason) for e in unified.events
-        ]
-        assert len(native_events) > 0
-        assert unified_events == native_events
+        cluster = ClusterSimulation(policy="freon-ec", fiddle_script=script)
+        cluster.run(DURATION)
         assert np.abs(
-            _cpu_temperatures(native) - _cpu_temperatures(unified_sim)
+            _cpu_temperatures(cluster) - _cpu_temperatures(unified_sim)
         ).max() <= 1e-9
 
 
@@ -117,6 +124,9 @@ class TestClusterStateView:
     def test_view_is_cached(self):
         sim = ClusterSimulation(policy="none")
         assert sim.state_view() is sim.state_view()
+        freon = ClusterSimulation(policy="freon")
+        assert freon.admd.view is freon.state_view()
+        assert all(t.view is freon.state_view() for t in freon.tempds.values())
 
     def test_mask_skips_machines(self):
         sim = ClusterSimulation(policy="none")
@@ -126,3 +136,35 @@ class TestClusterStateView:
         temps = view.read_temperatures(["cpu"], mask=mask)
         assert not np.isnan(temps["cpu"][0])
         assert np.isnan(temps["cpu"][1])
+
+
+class TestRegions:
+    """Freon-EC's regions have one source: the simulation's region map."""
+
+    def test_regions_follow_the_simulation_region_map(self):
+        # Not the alternating default: machines 1 and 2 share a region.
+        assignment = {
+            "machine1": "east", "machine2": "east",
+            "machine3": "west", "machine4": "west",
+        }
+        sim = ClusterSimulation(
+            policy="freon-ec", regions=RegionMap(assignment)
+        )
+        view = sim.state_view()
+        assert [view.region_of(i) for i in range(4)] == [
+            "east", "east", "west", "west",
+        ]
+        assert {
+            m: sim.admd.regions.region_of(m) for m in sim.machines
+        } == assignment
+
+    def test_topology_run_keeps_the_section_5_split(self):
+        topology = grid_topology(4, zones=2)
+        zones = {topology.positions[m].zone for m in topology.machines}
+        sim = ClusterSimulation(policy="freon-ec", topology=topology)
+        regions = [sim.state_view().region_of(i) for i in range(4)]
+        assert regions == ["region0", "region1", "region0", "region1"]
+        assert not zones & set(regions)
+        assert sim.admd.regions.servers_in("region0") == [
+            sim.machines[0], sim.machines[2],
+        ]

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cluster.lvs import LoadBalancer
+from repro.control.view import POWER_DRAINING, POWER_OFF
 from repro.daemons.admd import Admd
 from repro.daemons.tempd import (
     MSG_ADJUST,
@@ -12,15 +12,22 @@ from repro.daemons.tempd import (
 )
 from repro.freon.policy import FreonConfig
 
-
-@pytest.fixture
-def balancer():
-    return LoadBalancer(["m1", "m2", "m3", "m4"])
+from ..fakes import FakeView
 
 
 @pytest.fixture
-def admd(balancer):
-    return Admd(balancer, config=FreonConfig())
+def view():
+    return FakeView()
+
+
+@pytest.fixture
+def balancer(view):
+    return view.balancer
+
+
+@pytest.fixture
+def admd(view):
+    return Admd(view, config=FreonConfig())
 
 
 def adjust(machine, output, time=60.0):
@@ -61,16 +68,24 @@ class TestAdjust:
         admd.deliver(adjust("m1", 0.4, time=120.0))
         assert admd.adjustments == [(120.0, "m1", 0.4)]
 
-    def test_adjust_on_inactive_server_ignored(self, balancer, admd):
-        balancer.quiesce("m1")
+    def test_adjust_on_inactive_server_ignored(self, view, balancer, admd):
+        view.power["m1"] = POWER_DRAINING
         admd.deliver(adjust("m1", 1.0))
         assert balancer.server("m1").weight == pytest.approx(1.0)
+        assert admd.adjustments == []
 
     def test_consecutive_adjustments_compound(self, balancer, admd):
         admd.deliver(adjust("m1", 1.0))
         first = balancer.server("m1").weight
         admd.deliver(adjust("m1", 1.0))
         assert balancer.server("m1").weight < first
+
+    def test_share_counts_only_active_servers(self, view, balancer, admd):
+        # m4 is off: the hot server's share is of the three live weights.
+        view.power["m4"] = POWER_OFF
+        admd.deliver(adjust("m1", 1.0))
+        # share 1/3 -> target 1/6; W_rest=2 -> (1/6*2)/(5/6) = 2/5.
+        assert balancer.server("m1").weight == pytest.approx(0.4)
 
 
 class TestRelease:
@@ -86,25 +101,27 @@ class TestRelease:
 
 
 class TestRedline:
-    def test_redline_invokes_turn_off(self, balancer):
-        killed = []
-        admd = Admd(balancer, turn_off=killed.append)
+    def test_redline_invokes_turn_off(self, view, admd):
         admd.deliver(TempdMessage(type=MSG_REDLINE, machine="m2", time=60.0))
-        assert killed == ["m2"]
+        assert view.off_requests == ["m2"]
         assert admd.redlined == [(60.0, "m2")]
 
-    def test_redline_without_hook_is_recorded_only(self, admd):
-        admd.deliver(TempdMessage(type=MSG_REDLINE, machine="m2", time=60.0))
-        assert admd.redlined == [(60.0, "m2")]
+    def test_redline_without_hook_is_recorded_only(self):
+        # A view without power control (a multi-tier tier) ignores the
+        # switch; admd still records the red line.
+        from repro.cluster.multitier import MultiTierSimulation
+
+        tier = MultiTierSimulation().web
+        tier.admd.deliver(
+            TempdMessage(type=MSG_REDLINE, machine="web2", time=60.0)
+        )
+        assert tier.admd.redlined == [(60.0, "web2")]
+        assert tier.balancer.server("web2").weight == 1.0
+        assert all(ws.state.value == "active"
+                   for ws in tier.webservers.values())
 
 
 class TestStatsSampling:
-    def test_tick_samples_every_stats_period(self, balancer, admd):
-        balancer.server("m1").active_connections = 4.0
-        for i in range(5):
-            admd.tick(1.0, float(i))
-        assert admd.average_connections("m1") == pytest.approx(4.0)
-
     def test_window_limited_to_monitor_period(self, balancer, admd):
         # Old samples beyond the monitor period fall out of the average.
         balancer.server("m1").active_connections = 100.0
@@ -113,3 +130,12 @@ class TestStatsSampling:
         for t in range(5, 70, 5):
             admd.sample(float(t))
         assert admd.average_connections("m1") == pytest.approx(10.0)
+
+    def test_checkpoint_round_trips(self, view, balancer, admd):
+        balancer.server("m1").active_connections = 4.0
+        admd.sample(5.0)
+        admd.deliver(adjust("m1", 0.5))
+        copy = Admd(view, config=FreonConfig())
+        copy.restore(admd.checkpoint())
+        assert copy.checkpoint() == admd.checkpoint()
+        assert copy.average_connections("m1") == pytest.approx(4.0)

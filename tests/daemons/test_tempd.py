@@ -1,7 +1,9 @@
 """Tests for the tempd temperature daemon's policy behaviour."""
 
+import numpy as np
 import pytest
 
+from repro.control.view import POWER_ACTIVE, POWER_OFF
 from repro.daemons.tempd import (
     MSG_ADJUST,
     MSG_REDLINE,
@@ -10,6 +12,8 @@ from repro.daemons.tempd import (
     Tempd,
 )
 from repro.freon.policy import ComponentThresholds, FreonConfig
+
+from ..fakes import FakeView
 
 
 def make_config(period=60.0):
@@ -22,26 +26,25 @@ def make_config(period=60.0):
     )
 
 
-class FakeSensor:
-    def __init__(self, cpu=50.0, disk=40.0):
-        self.cpu = cpu
-        self.disk = disk
+class Sensor:
+    """m1's readings, set as attributes."""
 
-    def __call__(self):
-        return {"cpu": self.cpu, "disk": self.disk}
+    def __init__(self, view):
+        self._readings = view.temperatures["m1"]
+
+    def __setattr__(self, name, value):
+        if name.startswith("_"):
+            super().__setattr__(name, value)
+        else:
+            self._readings[name] = value
 
 
 @pytest.fixture
 def harness():
-    sensor = FakeSensor()
+    view = FakeView(["m1"])
     messages = []
-    daemon = Tempd(
-        machine="m1",
-        temperature_reader=sensor,
-        send=messages.append,
-        config=make_config(),
-    )
-    return sensor, messages, daemon
+    daemon = Tempd(view, messages.append, config=make_config())
+    return Sensor(view), messages, daemon
 
 
 class TestQuietOperation:
@@ -49,7 +52,7 @@ class TestQuietOperation:
         sensor, messages, daemon = harness
         daemon.wake(60.0)
         assert messages == []
-        assert not daemon.restricted
+        assert not daemon.restricted[0]
 
     def test_no_release_without_prior_restriction(self, harness):
         sensor, messages, daemon = harness
@@ -89,10 +92,12 @@ class TestAdjustPath:
     def test_max_over_components(self, harness):
         sensor, messages, daemon = harness
         sensor.cpu = 68.0   # output 0.1
-        sensor.disk = 66.0  # output 0.1 over its own 65 threshold
+        sensor.disk = 66.5  # output 0.15 over its own 65 threshold
         daemon.wake(60.0)
-        assert messages[0].output == pytest.approx(0.1)
-        assert sorted(daemon.hot_components) == ["cpu", "disk"]
+        assert messages[0].output == pytest.approx(0.15)
+        sensor.disk = 65.5  # disk still hot but cooling: cpu's 0.1 wins
+        daemon.wake(120.0)
+        assert messages[1].output == pytest.approx(0.1)
 
     def test_between_thresholds_is_silent(self, harness):
         # "For temperatures between T_h and T_l, Freon does not adjust
@@ -103,7 +108,7 @@ class TestAdjustPath:
         sensor.cpu = 65.5  # between low (64) and high (67)
         daemon.wake(120.0)
         assert [m.type for m in messages] == [MSG_ADJUST]
-        assert daemon.restricted
+        assert daemon.restricted[0]
 
 
 class TestReleasePath:
@@ -114,7 +119,7 @@ class TestReleasePath:
         sensor.cpu = 63.0
         daemon.wake(120.0)
         assert [m.type for m in messages] == [MSG_ADJUST, MSG_RELEASE]
-        assert not daemon.restricted
+        assert not daemon.restricted[0]
 
     def test_release_requires_all_components_cool(self, harness):
         sensor, messages, daemon = harness
@@ -141,8 +146,7 @@ class TestRedline:
         sensor.cpu = 69.5
         daemon.wake(60.0)
         types = [m.type for m in messages]
-        assert MSG_REDLINE in types
-        assert MSG_ADJUST in types  # still above high too
+        assert types == [MSG_REDLINE, MSG_ADJUST]  # still above high too
 
     def test_redline_carries_temperatures(self, harness):
         sensor, messages, daemon = harness
@@ -150,34 +154,79 @@ class TestRedline:
         sensor.disk = 68.0
         daemon.wake(60.0)
         red = [m for m in messages if m.type == MSG_REDLINE][0]
-        assert red.temperatures["cpu"] == 70.0
-        assert red.temperatures["disk"] == 68.0
+        assert red.temperatures == {"cpu": 70.0, "disk": 68.0}
 
 
 class TestStatusMode:
     def test_status_sent_with_utilization_reader(self):
+        view = FakeView(["m1"])
+        view.utilizations["m1"] = {"cpu": 0.42, "disk": 0.1}
         messages = []
-        daemon = Tempd(
-            machine="m1",
-            temperature_reader=FakeSensor(),
-            send=messages.append,
-            config=make_config(),
-            utilization_reader=lambda: {"cpu": 0.42, "disk": 0.1},
-        )
+        daemon = Tempd(view, messages.append, config=make_config(),
+                       status=True)
         daemon.wake(60.0)
         assert [m.type for m in messages] == [MSG_STATUS]
         assert messages[0].utilizations == {"cpu": 0.42, "disk": 0.1}
 
 
-class TestTickCadence:
-    def test_tick_respects_period(self, harness):
-        sensor, messages, daemon = harness
-        sensor.cpu = 68.5
-        for i in range(59):
-            assert daemon.tick(1.0, float(i)) == []
-        assert len(daemon.tick(1.0, 60.0)) == 1
+class TestRows:
+    """One tempd over several rows runs every row's state machine."""
 
-    def test_single_large_dt_fires_once(self, harness):
-        sensor, messages, daemon = harness
-        sensor.cpu = 68.5
-        assert len(daemon.tick(60.0, 60.0)) == 1
+    def test_rows_decide_independently_in_row_order(self):
+        view = FakeView()
+        view.temperatures["m2"]["cpu"] = 68.5
+        view.temperatures["m4"]["cpu"] = 69.5
+        messages = []
+        daemon = Tempd(view, messages.append, config=make_config())
+        assert daemon.wake(60.0) == 4
+        assert [(m.machine, m.type) for m in messages] == [
+            ("m2", MSG_ADJUST), ("m4", MSG_REDLINE), ("m4", MSG_ADJUST),
+        ]
+        assert daemon.restricted.tolist() == [False, True, False, True]
+
+    def test_a_subset_of_rows_reads_only_its_machines(self):
+        view = FakeView()
+        view.temperatures["m1"]["cpu"] = 68.5
+        view.temperatures["m3"]["cpu"] = 68.5
+        messages = []
+        daemon = Tempd(view, messages.append, config=make_config(),
+                       rows=(2,))
+        assert daemon.machines == ("m3",)
+        daemon.wake(60.0)
+        assert view.reads == 1
+        assert [m.machine for m in messages] == ["m3"]
+
+    def test_off_and_crashed_rows_skip_the_wake(self):
+        view = FakeView(off=("m2",))
+        view.down.add("m3")
+        for machine in view.machines:
+            view.temperatures[machine]["cpu"] = 68.5
+        messages = []
+        daemon = Tempd(view, messages.append, config=make_config())
+        assert daemon.wake(60.0) == 2
+        assert view.reads == 2
+        assert [m.machine for m in messages] == ["m1", "m4"]
+
+    def test_finished_reboot_clears_the_restriction(self):
+        view = FakeView(["m1"])
+        view.temperatures["m1"]["cpu"] = 68.5
+        daemon = Tempd(view, lambda m: None, config=make_config())
+        daemon.wake(60.0)
+        assert daemon.restricted[0]
+        view.power["m1"] = POWER_OFF  # no wake: the restriction stays
+        assert daemon.wake(120.0) == 0
+        assert daemon.restricted[0]
+        view.power["m1"] = POWER_ACTIVE  # booted again
+        view.temperatures["m1"]["cpu"] = 65.5
+        daemon.wake(180.0)
+        assert not daemon.restricted[0]
+
+    def test_checkpoint_round_trips(self):
+        view = FakeView()
+        view.temperatures["m2"]["cpu"] = 68.5
+        daemon = Tempd(view, lambda m: None, config=make_config())
+        daemon.wake(60.0)
+        copy = Tempd(view, lambda m: None, config=make_config())
+        copy.restore(daemon.checkpoint())
+        assert copy.checkpoint() == daemon.checkpoint()
+        assert np.isnan(copy._last_output[0])

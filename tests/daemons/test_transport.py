@@ -6,7 +6,6 @@ import time
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.cluster.lvs import LoadBalancer
 from repro.daemons.admd import Admd
 from repro.daemons.tempd import MSG_ADJUST, MSG_STATUS, Tempd, TempdMessage
 from repro.daemons.transport import (
@@ -20,6 +19,7 @@ from repro.daemons.transport import (
 from repro.errors import SensorError
 from repro.freon.policy import FreonConfig
 
+from ..fakes import FakeView
 from ..sensors.test_server import free_port, port_is_free
 
 
@@ -109,8 +109,9 @@ def _wait_for(predicate, timeout=3.0):
 
 class TestUdpPath:
     def test_message_reaches_admd(self):
-        balancer = LoadBalancer(["machine1", "machine2"])
-        admd = Admd(balancer, config=FreonConfig())
+        view = FakeView(["machine1", "machine2"])
+        balancer = view.balancer
+        admd = Admd(view, config=FreonConfig())
         with AdmdListener(admd.deliver) as listener:
             with TempdSender(listener.address) as send:
                 send(sample_message())
@@ -119,8 +120,7 @@ class TestUdpPath:
         assert balancer.server("machine1").weight < 1.0
 
     def test_malformed_datagrams_counted_and_ignored(self):
-        balancer = LoadBalancer(["machine1"])
-        admd = Admd(balancer)
+        admd = Admd(FakeView(["machine1"]))
         with AdmdListener(admd.deliver) as listener:
             import socket
 
@@ -137,17 +137,15 @@ class TestUdpPath:
 
     def test_full_daemon_pair_over_udp(self):
         # tempd (with a fake sensor) -> UDP -> admd, end to end.
-        balancer = LoadBalancer(["machine1", "machine2"])
-        admd = Admd(balancer, config=FreonConfig())
-        temps = {"cpu": 68.5, "disk": 40.0}
+        # Each side has its own view: the server's sensor, the balancer.
+        server = FakeView(["machine1"])
+        server.temperatures["machine1"] = {"cpu": 68.5, "disk": 40.0}
+        view = FakeView(["machine1", "machine2"])
+        balancer = view.balancer
+        admd = Admd(view, config=FreonConfig())
         with AdmdListener(admd.deliver) as listener:
             with TempdSender(listener.address) as send:
-                tempd = Tempd(
-                    machine="machine1",
-                    temperature_reader=lambda: dict(temps),
-                    send=send,
-                    config=FreonConfig(),
-                )
+                tempd = Tempd(server, send, config=FreonConfig())
                 tempd.wake(60.0)
                 assert _wait_for(lambda: listener.received == 1)
         assert balancer.server("machine1").weight < 1.0
@@ -173,8 +171,7 @@ class TestShutdownLifecycle:
     def test_start_close_close_under_traffic(self):
         # Close while the loop thread serves, then close again: both
         # must return cleanly, join the thread and release the port.
-        balancer = LoadBalancer(["machine1"])
-        admd = Admd(balancer)
+        admd = Admd(FakeView(["machine1"]))
         threads = threading.active_count()
         listener = AdmdListener(admd.deliver).start()
         host, port = listener.address
@@ -235,8 +232,7 @@ class TestShutdownLifecycle:
     def test_in_process_delivery_survives_udp_teardown(self):
         # The in-process transport (calling admd.deliver directly) must
         # keep working after the UDP listener for the same admd is gone.
-        balancer = LoadBalancer(["machine1", "machine2"])
-        admd = Admd(balancer, config=FreonConfig())
+        admd = Admd(FakeView(["machine1", "machine2"]), config=FreonConfig())
         listener = AdmdListener(admd.deliver).start()
         listener.stop()
         listener.stop()

@@ -5,6 +5,7 @@ single ``random.Random(seed)``, and the deterministic cases pin fault
 probabilities to 0 or 1, so every assertion is exact.
 """
 
+import numpy as np
 import pytest
 
 from repro.cluster.simulation import ClusterSimulation
@@ -197,11 +198,14 @@ class TestDaemonWatchdog:
 
 class TestRestartPhase:
     def test_restarted_tempd_stays_on_the_kernel_wake_grid(self):
-        sim = ClusterSimulation(policy="freon")
+        sim = ClusterSimulation(policy="freon", fiddle_script=(
+            "sleep 480\nfiddle machine1 temperature inlet 38.6\n"
+        ))
         machine = sim.machines[0]
         period = sim.config.monitor_period
-        old = sim.tempds[machine]
-        old.restricted = True
+        sim.run(1200.0)  # machine1 hot and restricted by now
+        tempd = sim.tempds[machine]
+        assert tempd.restricted[0] and tempd._seen[0]
         wakes_before = [
             e for e in sim.kernel.pending
             if e.kind == "wake" and e.payload["machine"] == machine
@@ -209,8 +213,7 @@ class TestRestartPhase:
 
         sim._restart_daemon(machine, "tempd")
 
-        replacement = sim.tempds[machine]
-        assert replacement is not old
+        assert sim.tempds[machine] is tempd
         # The wake cadence lives in the kernel, not the daemon: the same
         # grid-aligned wake event still stands after the restart.
         wakes_after = [
@@ -221,23 +224,26 @@ class TestRestartPhase:
         assert len(wakes_after) == 1
         assert wakes_after[0].time % period == pytest.approx(0.0)
         # admd's restrictions survive the crash (handed over on reconnect).
-        assert replacement.restricted is True
-        # Controller (derivative) state did not survive.
-        assert replacement._controllers is not old._controllers
+        assert tempd.restricted[0]
+        # Controller (derivative) state, the last output and the last
+        # good reading did not survive.
+        assert not tempd._seen[0]
+        assert np.isnan(tempd._last_output[0])
+        assert np.isnan(tempd._last_good[0])
 
     def test_restart_ignores_daemons_without_state(self):
         sim = ClusterSimulation(policy="freon")
+        sim.run(120.0)
         machine = sim.machines[0]
-        before = sim.tempds[machine]
+        before = sim.tempds[machine].checkpoint()
         sim._restart_daemon(machine, "monitord")
-        assert sim.tempds[machine] is before
+        assert sim.tempds[machine].checkpoint() == before
 
     def test_watchdog_restart_end_to_end(self):
         injector = FaultInjector()
         sim = ClusterSimulation(policy="freon", injector=injector)
         machine = sim.machines[0]
         injector.schedule(30.0, _crash(machine, "tempd"))
-        original = sim.tempds[machine]
 
         result = sim.run(90.0)
 
@@ -247,5 +253,4 @@ class TestRestartPhase:
         restart = result.restarts[0]
         # Watchdog checks every 5 s and waits its 10 s restart delay.
         assert restart.time >= 30.0 + sim.watchdog.restart_delay
-        assert sim.tempds[machine] is not original
         assert injector.daemon_up(machine, "tempd")

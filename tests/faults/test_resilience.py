@@ -19,6 +19,8 @@ from repro.machine.server import SimulatedServer
 from repro.machine.workloads import ConstantWorkload
 from repro.sensors.server import SensorService
 
+from ..fakes import FakeView
+
 
 def make_config(**overrides):
     defaults = dict(
@@ -34,30 +36,36 @@ def make_config(**overrides):
 
 
 class FlakySensor:
-    """Reader that can be told to fail on demand."""
+    """m1's sensor on a fake view, told to fail on demand."""
 
-    def __init__(self, cpu=50.0, disk=40.0):
-        self.cpu = cpu
-        self.disk = disk
-        self.failing = False
+    def __init__(self, view):
+        self._view = view
 
-    def __call__(self):
-        if self.failing:
-            raise SensorError("injected dropout")
-        return {"cpu": self.cpu, "disk": self.disk}
+    @property
+    def failing(self):
+        return "m1" in self._view.failing
+
+    @failing.setter
+    def failing(self, value):
+        (self._view.failing.add if value else self._view.failing.discard)(
+            "m1"
+        )
+
+    @property
+    def cpu(self):
+        return self._view.temperatures["m1"]["cpu"]
+
+    @cpu.setter
+    def cpu(self, value):
+        self._view.temperatures["m1"]["cpu"] = value
 
 
 @pytest.fixture
 def harness():
-    sensor = FlakySensor()
+    view = FakeView(["m1"])
     messages = []
-    daemon = Tempd(
-        machine="m1",
-        temperature_reader=sensor,
-        send=messages.append,
-        config=make_config(),
-    )
-    return sensor, messages, daemon
+    daemon = Tempd(view, messages.append, config=make_config())
+    return FlakySensor(view), messages, daemon
 
 
 class TestTempdLastKnownGood:
@@ -69,7 +77,7 @@ class TestTempdLastKnownGood:
         assert messages == []
         assert daemon.read_failures == 1
         assert daemon.stale_wakes == 1
-        assert not daemon.restricted
+        assert not daemon.restricted[0]
 
     def test_restricted_failure_holds_last_pd_output(self, harness):
         sensor, messages, daemon = harness
@@ -82,7 +90,7 @@ class TestTempdLastKnownGood:
         assert messages[-1].type == MSG_ADJUST
         assert messages[-1].output == held
         assert messages[-1].temperatures == {"cpu": 68.5, "disk": 40.0}
-        assert daemon.restricted
+        assert daemon.restricted[0]
         assert daemon.stale_wakes == 1
 
     def test_past_staleness_limit_fails_conservative(self, harness):
@@ -98,7 +106,7 @@ class TestTempdLastKnownGood:
         msg = messages[0]
         assert msg.type == MSG_ADJUST
         assert msg.output == daemon.config.conservative_output
-        assert daemon.restricted
+        assert daemon.restricted[0]
         assert daemon.conservative_wakes == 1
         assert daemon.stale_wakes == 3
 
@@ -124,7 +132,7 @@ class TestTempdLastKnownGood:
         daemon.wake(240.0)
         # Cooled below every low threshold: the restriction lifts.
         assert messages[-1].type == "release"
-        assert not daemon.restricted
+        assert not daemon.restricted[0]
 
     def test_kernel_wake_events_keep_restarted_daemon_on_the_grid(self):
         # The event kernel owns the wake cadence: one grid-aligned wake
@@ -133,17 +141,11 @@ class TestTempdLastKnownGood:
         # without any phase bookkeeping of its own.
         from repro.kernel import EventKernel
 
-        sensor = FlakySensor()
         wakes = []
         kernel = EventKernel()
         kernel.clock.advance(1070.0)
 
-        daemon = Tempd(
-            machine="m1",
-            temperature_reader=sensor,
-            send=lambda m: None,
-            config=make_config(),
-        )
+        daemon = Tempd(FakeView(["m1"]), lambda m: None, config=make_config())
 
         def on_wake(event):
             wakes.append(event.time)

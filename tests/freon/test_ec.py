@@ -2,49 +2,19 @@
 
 import pytest
 
-from repro.cluster.lvs import LoadBalancer
 from repro.daemons.tempd import MSG_ADJUST, MSG_RELEASE, MSG_STATUS, TempdMessage
 from repro.freon.ec import AdmdEC
-from repro.freon.regions import two_region_split
+
+from ..fakes import FakeView
 
 MACHINES = ["m1", "m2", "m3", "m4"]
 
 
-class FakePower:
-    """Instant on/off power controller for unit tests."""
-
-    def __init__(self, machines, off=()):
-        self._machines = list(machines)
-        self._off = set(off)
-        self.on_requests = []
-        self.off_requests = []
-
-    def off_servers(self):
-        return [m for m in self._machines if m in self._off]
-
-    def active_servers(self):
-        return [m for m in self._machines if m not in self._off]
-
-    def request_on(self, name):
-        self.on_requests.append(name)
-        self._off.discard(name)
-
-    def request_off(self, name):
-        self.off_requests.append(name)
-        self._off.add(name)
-
-
 def make_ec(off=()):
-    balancer = LoadBalancer(MACHINES)
-    power = FakePower(MACHINES, off=off)
-    ec = AdmdEC(
-        balancer,
-        regions=two_region_split(MACHINES),
-        power=power,
-        util_high=0.70,
-        util_low=0.60,
-    )
-    return balancer, power, ec
+    """Freon-EC over a view whose power switches instantly."""
+    view = FakeView(MACHINES, off=off)
+    ec = AdmdEC(view, util_high=0.70, util_low=0.60)
+    return view.balancer, view, ec
 
 
 def status(machine, cpu, disk=0.1, time=60.0):
@@ -174,3 +144,25 @@ class TestEmergencyHandling:
         feed_status(ec, cpu=0.40)
         ec.evaluate(60.0)
         assert power.off_requests[0] == "m2"
+
+
+class TestRegionsAndCheckpoint:
+    def test_regions_come_from_the_view(self):
+        view = FakeView(MACHINES, regions={
+            "m1": "east", "m2": "east", "m3": "west", "m4": "west",
+        })
+        ec = AdmdEC(view, util_high=0.70, util_low=0.60)
+        assert ec.regions.regions == ["east", "west"]
+        assert ec.regions.servers_in("east") == ["m1", "m2"]
+
+    def test_checkpoint_round_trips(self):
+        balancer, power, ec = make_ec(off=["m4"])
+        feed_status(ec, cpu=0.50, machines=["m1", "m2", "m3"])
+        ec.deliver(adjust("m1"))
+        ec.evaluate(60.0)
+        copy = AdmdEC(power, util_high=0.70, util_low=0.60)
+        copy.restore(ec.checkpoint())
+        assert copy.checkpoint() == ec.checkpoint()
+        region = ec.regions.region_of("m1")
+        assert copy.regions.emergency_count(region) == 1
+        assert copy.regions.rr_index == ec.regions.rr_index

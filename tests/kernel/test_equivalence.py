@@ -89,7 +89,7 @@ class TestWakeGrid:
         original = Tempd.wake
 
         def spy(self, now):
-            wakes.append((self.machine, now))
+            wakes.append((self.machines, now))
             return original(self, now)
 
         monkeypatch.setattr(Tempd, "wake", spy)
