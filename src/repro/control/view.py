@@ -124,11 +124,12 @@ class ClusterStateView:
 
         self._sim = simulation
         self.machines: Tuple[str, ...] = tuple(simulation.machines)
+        # Keyed by the members' plain values: Enum hashing is Python-level.
         self._codes = {
-            PowerState.OFF: POWER_OFF,
-            PowerState.BOOTING: POWER_BOOTING,
-            PowerState.ACTIVE: POWER_ACTIVE,
-            PowerState.DRAINING: POWER_DRAINING,
+            PowerState.OFF._value_: POWER_OFF,
+            PowerState.BOOTING._value_: POWER_BOOTING,
+            PowerState.ACTIVE._value_: POWER_ACTIVE,
+            PowerState.DRAINING._value_: POWER_DRAINING,
         }
 
     def read_temperatures(self, components, mask=None):
@@ -175,11 +176,13 @@ class ClusterStateView:
         codes = self._codes
         ws = self._sim.webservers
         return np.array(
-            [codes[ws[name].state] for name in self.machines], dtype=np.int64
+            [codes[ws[name].state._value_] for name in self.machines],
+            dtype=np.int64,
         )
 
     def power_state(self, index):
-        return self._codes[self._sim.webservers[self.machines[index]].state]
+        state = self._sim.webservers[self.machines[index]].state
+        return self._codes[state._value_]
 
     def set_power(self, index, on):
         name = self.machines[index]

@@ -252,11 +252,7 @@ class Tempd:
         tel = self._tel[j] if self._tel is not None else None
         if tel is not None:
             tel[0].inc()
-        if failed:
-            temperatures = (
-                {} if math.isnan(self._last_good[j]) else self._readings(j)
-            )
-            if tel is not None:
+            if failed:
                 tel[1].inc()
                 if fresh:
                     tel[2].inc()
@@ -271,10 +267,16 @@ class Tempd:
                         machine=machine, output=output,
                     )
                     tel[4].set(output)
-        else:
-            temperatures = self._readings(j)
-            if adjust and tel is not None:
+            elif adjust:
                 tel[4].set(output)
+        status = utilizations is not None and not failed
+        if not (red or adjust or release or status):
+            return
+        # A good read just became the last good one; a failed read
+        # carries the last good one, if any.
+        temperatures = (
+            {} if math.isnan(self._last_good[j]) else self._readings(j)
+        )
         sent: List[TempdMessage] = []
         if red:
             sent.append(TempdMessage(
@@ -291,7 +293,7 @@ class Tempd:
                 type=MSG_RELEASE, machine=machine, time=now,
                 temperatures=temperatures,
             ))
-        if utilizations is not None and not failed:
+        if status:
             row = self._rows[j]
             sent.append(TempdMessage(
                 type=MSG_STATUS, machine=machine, time=now,
