@@ -152,9 +152,7 @@ class FreonPolicy(ControlPolicy):
 
     def checkpoint(self) -> Dict[str, object]:
         if self.tempd is None:
-            return {"sized": False} if self._restored is None else (
-                self._restored
-            )
+            return self._restored or {"sized": False}
         return {
             "sized": True,
             "tempd": self.tempd.checkpoint(),
