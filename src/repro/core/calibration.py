@@ -28,7 +28,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from ..errors import CalibrationError
 from ..machine.procfs import ProcReader
@@ -38,6 +37,16 @@ from .solver import Solver
 
 #: Sensor-name -> graph-node mapping used when recording measurements.
 _SENSOR_NODES = {"cpu_air": "CPU Air", "disk": "Disk Platters"}
+
+
+def least_squares(fun, x0, **kwargs):
+    """:func:`scipy.optimize.least_squares`, imported on first call.
+
+    Only calibration needs scipy, so ``import repro`` does not load it.
+    """
+    from scipy.optimize import least_squares as scipy_least_squares
+
+    return scipy_least_squares(fun, x0, **kwargs)
 
 
 @dataclass

@@ -26,6 +26,7 @@ from typing import Deque, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from ..errors import SensorError
 from ..freon.policy import FreonConfig, weight_for_share_reduction
 from ..telemetry import ensure as _ensure_telemetry
 from .tempd import (
@@ -96,7 +97,15 @@ class Admd:
     # -- message handling ------------------------------------------------------
 
     def deliver(self, message: TempdMessage) -> None:
-        """Handle one tempd message."""
+        """Handle one tempd message.
+
+        A message from a machine outside the view raises
+        :class:`SensorError` and changes nothing.
+        """
+        if message.machine not in self._row:
+            raise SensorError(
+                f"tempd message from unknown machine {message.machine!r}"
+            )
         if message.type == MSG_ADJUST:
             self._handle_adjust(message)
         elif message.type == MSG_RELEASE:

@@ -17,6 +17,7 @@ captures.  Each datagram stays well under a single MTU.
 from __future__ import annotations
 
 import json
+import math
 import socket
 from typing import Callable, Optional, Tuple
 
@@ -50,10 +51,15 @@ def encode_message(message: TempdMessage) -> bytes:
 
 
 def decode_message(data: bytes) -> TempdMessage:
-    """Parse one JSON datagram back into a tempd message."""
+    """Parse one JSON datagram back into a tempd message.
+
+    Every number must be finite and the controller output non-negative,
+    as tempd sends them; anything else raises :class:`SensorError`.
+    """
     try:
         payload = json.loads(data.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+        # RecursionError: deeply nested arrays exhaust the JSON scanner.
         raise SensorError(f"malformed tempd datagram: {exc}") from None
     if not isinstance(payload, dict):
         raise SensorError("malformed tempd datagram: not an object")
@@ -65,7 +71,7 @@ def decode_message(data: bytes) -> TempdMessage:
     ):
         raise SensorError("tempd datagram fields have wrong types")
     try:
-        return TempdMessage(
+        message = TempdMessage(
             type=payload["type"],
             machine=payload["machine"],
             time=float(payload["time"]),
@@ -77,8 +83,19 @@ def decode_message(data: bytes) -> TempdMessage:
                 str(k): float(v) for k, v in payload["utilizations"].items()
             },
         )
-    except (TypeError, ValueError, AttributeError) as exc:
+    except (TypeError, ValueError, AttributeError, OverflowError) as exc:
         raise SensorError(f"tempd datagram fields have wrong types: {exc}") from None
+    numbers = (
+        message.time, message.output,
+        *message.temperatures.values(), *message.utilizations.values(),
+    )
+    if not all(map(math.isfinite, numbers)):
+        raise SensorError("tempd datagram carries a non-finite number")
+    if message.output < 0.0:
+        raise SensorError(
+            f"tempd datagram output is negative: {message.output}"
+        )
+    return message
 
 
 class TempdSender:

@@ -28,6 +28,7 @@ import numpy as np
 from ..config import table1
 from ..daemons.admd import Admd
 from ..daemons.tempd import TempdMessage
+from ..errors import SensorError
 from ..freon.policy import FreonConfig
 from .regions import RegionMap
 
@@ -84,8 +85,14 @@ class AdmdEC(Admd):
 
     def _handle_status(self, message: TempdMessage) -> None:
         i = self._row[message.machine]
-        for c in self.classes:
-            self._util[c][i] = message.utilizations[c]
+        try:
+            values = [message.utilizations[c] for c in self.classes]
+        except KeyError as exc:
+            raise SensorError(
+                f"STATUS from {message.machine!r} lacks utilization {exc}"
+            ) from None
+        for c, value in zip(self.classes, values):
+            self._util[c][i] = value
         self._util_known[i] = True
 
     def _handle_adjust(self, message: TempdMessage) -> None:

@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .. import units
 from ..core.graph import AirEdge, AirRegion, Component, HeatEdge, MachineLayout
@@ -193,6 +192,8 @@ def calibrate_from_reference(
     Mercury's steady block temperatures match the reference at every
     calibration point.
     """
+    from scipy.optimize import least_squares
+
     if mesh is None:
         mesh = standard_case()
     cpu0, disk0 = calibration_powers[0]

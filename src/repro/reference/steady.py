@@ -25,8 +25,6 @@ from dataclasses import dataclass
 from typing import Dict, Optional
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.linalg import spsolve
 
 from .. import units
 from .materials import AIR
@@ -102,6 +100,9 @@ class SteadyResult:
 def solve_steady(mesh: CaseMesh,
                  initial: Optional[np.ndarray] = None) -> SteadyResult:
     """Solve the steady advection-diffusion problem on ``mesh``."""
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.linalg import spsolve
+
     ny, nx = mesh.ny, mesh.nx
     n = nx * ny
     d = mesh.cell_size

@@ -20,13 +20,15 @@ Mercury's lumped masses can be compared against.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 import numpy as np
-from scipy.sparse import csr_matrix
 
 from .. import units
 from .mesh import CaseMesh
+
+if TYPE_CHECKING:
+    from scipy.sparse import csr_matrix
 
 #: Stability safety factor on the explicit time-step bound.
 _CFL_SAFETY = 0.4
@@ -112,6 +114,8 @@ def _upstream_operator(
     Wake cells draw from the entrained west-column donors, matching the
     steady solver.
     """
+    from scipy.sparse import csr_matrix
+
     ny, nx = mesh.ny, mesh.nx
     n = ny * nx
     rows: List[int] = []

@@ -268,7 +268,10 @@ class HttpServer:
         if len(parts) != 3 or not parts[2].startswith("HTTP/1."):
             return None
         method, target = parts[0].upper(), parts[1]
-        split = urlsplit(target)
+        try:
+            split = urlsplit(target)
+        except ValueError:  # e.g. an unclosed IPv6 bracket
+            return None
         query = dict(parse_qsl(split.query, keep_blank_values=True))
         headers: Dict[str, str] = {}
         for line in header_block.strip().split("\r\n"):

@@ -10,6 +10,7 @@ from repro.daemons.tempd import (
     MSG_RELEASE,
     TempdMessage,
 )
+from repro.errors import SensorError
 from repro.freon.policy import FreonConfig
 
 from ..fakes import FakeView
@@ -86,6 +87,19 @@ class TestAdjust:
         admd.deliver(adjust("m1", 1.0))
         # share 1/3 -> target 1/6; W_rest=2 -> (1/6*2)/(5/6) = 2/5.
         assert balancer.server("m1").weight == pytest.approx(0.4)
+
+
+class TestUnknownMachine:
+    @pytest.mark.parametrize("kind", [MSG_ADJUST, MSG_RELEASE, MSG_REDLINE])
+    def test_rejected_before_any_state_changes(self, view, admd, kind):
+        before = admd.checkpoint()
+        with pytest.raises(SensorError, match="unknown machine"):
+            admd.deliver(
+                TempdMessage(type=kind, machine="m9", time=60.0, output=1.0)
+            )
+        assert admd.checkpoint() == before
+        assert view.weights().tolist() == [1.0] * 4
+        assert view.off_requests == []
 
 
 class TestRelease:

@@ -1,5 +1,6 @@
 """Tests for the tempd -> admd UDP transport."""
 
+import json
 import threading
 import time
 
@@ -23,6 +24,25 @@ from ..fakes import FakeView
 from ..sensors.test_server import free_port, port_is_free
 
 
+def datagram(**fields):
+    """A JSON tempd datagram: ``sample_message``'s fields, overridden."""
+    payload = {
+        "type": MSG_ADJUST, "machine": "machine1", "time": 120.0,
+        "output": 0.35, "temperatures": {"cpu": 68.5}, "utilizations": {},
+    }
+    payload.update(fields)
+    return json.dumps(payload).encode()
+
+
+#: Datagrams an admd must count as malformed without changing any state.
+HOSTILE_DATAGRAMS = {
+    "not json": b"not json",
+    "deep nesting": b"[" * 5000,
+    "unknown machine": datagram(machine="machine9"),
+    "NaN output": datagram(output=float("nan")),
+}
+
+
 def sample_message():
     return TempdMessage(
         type=MSG_ADJUST,
@@ -41,8 +61,9 @@ class TestEncoding:
         assert decoded == message
 
     def test_rejects_garbage(self):
-        with pytest.raises(SensorError):
-            decode_message(b"\xff\xfe not json")
+        for data in (b"\xff\xfe not json", HOSTILE_DATAGRAMS["deep nesting"]):
+            with pytest.raises(SensorError, match="malformed"):
+                decode_message(data)
 
     def test_rejects_non_object(self):
         with pytest.raises(SensorError):
@@ -57,8 +78,22 @@ class TestEncoding:
             b'{"type": "adjust", "machine": "m", "time": "soon", '
             b'"output": 0, "temperatures": {}, "utilizations": {}}'
         )
+        too_large_for_a_float = datagram(time=10**400)
+        for data in (bad, too_large_for_a_float):
+            with pytest.raises(SensorError):
+                decode_message(data)
+
+    @pytest.mark.parametrize("fields", [
+        {"time": float("inf")},
+        {"output": float("nan")},
+        {"output": float("inf")},
+        {"output": -1.0},
+        {"temperatures": {"cpu": float("nan")}},
+        {"utilizations": {"cpu": float("-inf")}},
+    ])
+    def test_rejects_numbers_tempd_never_sends(self, fields):
         with pytest.raises(SensorError):
-            decode_message(bad)
+            decode_message(datagram(**fields))
 
     def test_fits_one_datagram(self):
         assert len(encode_message(sample_message())) < MAX_MESSAGE_BYTES
@@ -120,14 +155,21 @@ class TestUdpPath:
         assert balancer.server("machine1").weight < 1.0
 
     def test_malformed_datagrams_counted_and_ignored(self):
-        admd = Admd(FakeView(["machine1"]))
+        view = FakeView(["machine1", "machine2"])
+        admd = Admd(view)
         with AdmdListener(admd.deliver) as listener:
             import socket
 
             sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
             try:
-                sock.sendto(b"not json", listener.address)
-                assert _wait_for(lambda: listener.malformed == 1)
+                for data in HOSTILE_DATAGRAMS.values():
+                    sock.sendto(data, listener.address)
+                assert _wait_for(
+                    lambda: listener.malformed == len(HOSTILE_DATAGRAMS)
+                )
+                assert listener.received == 0
+                assert view.weights().tolist() == [1.0, 1.0]
+                assert admd.adjustments == []
                 # A good message afterwards still works.
                 with TempdSender(listener.address) as send:
                     send(sample_message())

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.daemons.tempd import MSG_ADJUST, MSG_RELEASE, MSG_STATUS, TempdMessage
+from repro.errors import SensorError
 from repro.freon.ec import AdmdEC
 
 from ..fakes import FakeView
@@ -144,6 +145,18 @@ class TestEmergencyHandling:
         feed_status(ec, cpu=0.40)
         ec.evaluate(60.0)
         assert power.off_requests[0] == "m2"
+
+
+class TestStatusValidation:
+    def test_status_lacking_a_class_changes_nothing(self):
+        _, _, ec = make_ec()
+        before = ec.checkpoint()
+        with pytest.raises(SensorError, match="lacks utilization 'disk'"):
+            ec.deliver(TempdMessage(
+                type=MSG_STATUS, machine="m1", time=60.0,
+                utilizations={"cpu": 0.9},
+            ))
+        assert ec.checkpoint() == before
 
 
 class TestRegionsAndCheckpoint:

@@ -112,13 +112,20 @@ def test_request_routing_and_statuses():
 
 
 def test_malformed_request_line_is_400():
+    request_lines = [
+        b"NONSENSE",
+        b"GET http://[::1/metrics HTTP/1.1",  # urlsplit: invalid IPv6 URL
+    ]
+
     async def check(server, host, port):
-        reader, writer = await asyncio.open_connection(host, port)
-        writer.write(b"NONSENSE\r\n\r\n")
-        await writer.drain()
-        head = await reader.readuntil(b"\r\n\r\n")
-        assert b"400 Bad Request" in head
-        writer.close()
+        for count, request_line in enumerate(request_lines, 1):
+            reader, writer = await asyncio.open_connection(host, port)
+            writer.write(request_line + b"\r\n\r\n")
+            await writer.drain()
+            head = await reader.readuntil(b"\r\n\r\n")
+            assert b"400 Bad Request" in head, request_line
+            assert server.served == {400: count}
+            writer.close()
 
     run(_with_server([], check))
 
