@@ -69,7 +69,6 @@ class ScalarRoomSolver:
         from ..config.layouts import validation_machine
         from ..core.compiled import compile_layout
         from ..core.solver import Solver
-        from ..topology.recirculation import RecirculationOperator
 
         if layout is not None:
             raise TopologyError(
@@ -82,7 +81,6 @@ class ScalarRoomSolver:
         self.layout = validation_machine("template")
         #: Node/component naming shared with the flattened stack.
         self.plan = compile_layout(self.layout)
-        self.operator = RecirculationOperator(topology)
         self._solver = Solver(
             [validation_machine(name) for name in self._names],
             topology=topology,
@@ -91,6 +89,7 @@ class ScalarRoomSolver:
             record=False,
             engine="python",
         )
+        self.operator = self._solver._inlet_op
         self.group = _UtilMirror(self.n, self.plan.n_comps)
         self._base_power = {
             name: {

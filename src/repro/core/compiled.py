@@ -529,10 +529,6 @@ class CompiledEngine:
     coefficients when needed) without per-tick polling.
     """
 
-    #: The solver computes per-machine inlet temperatures and passes them
-    #: to :meth:`tick`; an engine that derives inlets itself (the sweep
-    #: batch engine) overrides this.
-    provides_inlets = False
     #: Whether the solver should time this engine's ticks into the
     #: ``solver_tick_seconds`` histogram (a host metric excluded from
     #: sweep artifacts; batch members skip the measurement entirely).

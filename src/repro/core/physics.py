@@ -128,10 +128,18 @@ def mix_streams(temperatures: "list[float]", weights: "list[float]") -> float:
     and computes "a weighted average of the incoming-edge air temperatures
     and fractions".  ``weights`` are the heat-capacity rates (or any
     proportional quantity, e.g. volumetric flows) of the incoming streams.
+    Both sums are added left to right, the one order every engine and
+    the inlet operator (:mod:`repro.core.inlets`) use; ``sum()`` is
+    compensated from Python 3.12 on and would round differently.
     """
     if len(temperatures) != len(weights):
         raise ValueError("temperatures and weights must have the same length")
-    total = sum(weights)
+    total = 0.0
+    for w in weights:
+        total += w
     if total <= 0.0:
         raise ValueError("total mixing weight must be positive")
-    return sum(t * w for t, w in zip(temperatures, weights)) / total
+    mixed = 0.0
+    for t, w in zip(temperatures, weights):
+        mixed += t * w
+    return mixed / total

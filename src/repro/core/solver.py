@@ -6,7 +6,11 @@ three traversals of section 2.2:
 1. **inter-machine air movement** — each machine's inlet temperature is
    the perfect-mixing weighted average of the cluster edges feeding it
    (air-conditioner supplies and, for recirculation, other machines'
-   exhausts from the previous tick);
+   exhausts from the previous tick).  One
+   :class:`~repro.core.inlets.InletOperator` table, compiled from the
+   cluster air graph or a spatial topology, evaluates it for both
+   engines and for batched sweep members; a solver with neither keeps
+   every machine's layout inlet;
 2. **intra-machine air movement** — air regions are visited in flow
    (topological) order; each one mixes its incoming streams and then
    exchanges heat with the components it touches in the heat-flow graph
@@ -44,14 +48,14 @@ from __future__ import annotations
 
 import time as _time
 from math import exp, expm1
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Mapping, Optional, Sequence
 
 from .. import units
 from ..errors import SolverError, UnknownNodeError, UnknownSensorError
 from ..telemetry import ensure as _ensure_telemetry
 from ..telemetry.registry import LATENCY_BUCKETS
-from . import physics
 from .graph import ClusterLayout, MachineLayout
+from .inlets import ClusterInlets, InletOperator
 from .state import History, MachineState, Sample
 
 #: Default solver tick, seconds ("one iteration per second by default").
@@ -138,12 +142,6 @@ class Solver:
         self.dt = dt
         self.cluster = cluster
         self.topology = topology
-        if topology is not None:
-            from ..topology.recirculation import RecirculationOperator
-
-            self._topology_op = RecirculationOperator(topology)
-        else:
-            self._topology_op = None
         if initial_temperature is None:
             initial_temperature = layouts[0].inlet_temperature
         self.machines: Dict[str, MachineState] = {
@@ -156,18 +154,20 @@ class Solver:
         self.coasted_ticks = 0
         self.record = record
         self.history = History()
-        #: Cluster-source supply-temperature overrides (fiddle).
-        self._source_overrides: Dict[str, float] = {}
-        #: Live inter-machine edge fractions (fiddle can edit these).
-        self._cluster_fractions: Dict[Tuple[str, str], float] = (
-            {(e.src, e.dst): e.fraction for e in cluster.edges}
-            if cluster is not None
-            else {}
-        )
-        #: Cached perfect-mixing plan per machine: the (is_source, src,
-        #: weight) triples of `_cluster_inlet`, hoisted because the edge
-        #: set and flows are static between fiddle edits.
-        self._inlet_plans: Optional[Dict[str, List[Tuple[bool, str, float]]]] = None
+        #: Each machine's fixed layout inlet temperature.
+        self._layout_inlets: Dict[str, float] = {
+            layout.name: layout.inlet_temperature for layout in layouts
+        }
+        #: The inter-machine traversal: the cluster air graph's or the
+        #: topology's inlet operator, or None when every machine keeps
+        #: its layout inlet.
+        self._inlet_op: Optional[InletOperator] = None
+        if cluster is not None:
+            self._inlet_op = ClusterInlets(cluster, self._layout_inlets)
+        elif topology is not None:
+            from ..topology.recirculation import RecirculationOperator
+
+            self._inlet_op = RecirculationOperator(topology)
         #: Exhaust temperature of each machine at the end of the previous
         #: tick; used by the inter-machine traversal.
         self._prev_exhaust: Dict[str, float] = {
@@ -278,23 +278,23 @@ class Solver:
 
     def set_source_temperature(self, source: str, value: float) -> None:
         """Override a cluster cooling source's supply temperature."""
-        if self.cluster is None or source not in self.cluster.sources:
+        if self.cluster is None:
             raise UnknownNodeError(source)
-        self._source_overrides[source] = value
+        self._inlet_op.set_source(source, value)
 
     def set_cluster_fraction(self, src: str, dst: str, value: float) -> None:
         """Change an inter-machine air edge's fraction (fiddle).
 
         Emulates rack/air-path changes at run time, e.g. a failed damper
-        sending less AC air to a machine.  Invalidates the cached
-        perfect-mixing inlet weights.
+        sending less AC air to a machine.  A fraction outside [0, 1], or
+        one that would leave ``dst`` with no incoming air, raises
+        :class:`~repro.errors.SolverError` and changes nothing.  Drops
+        the compiled inlet table; the next tick mixes with the new
+        weights.
         """
-        if self.cluster is None or (src, dst) not in self._cluster_fractions:
+        if self.cluster is None:
             raise UnknownNodeError(f"{src}->{dst}")
-        if not 0.0 <= value <= 1.0:
-            raise ValueError("cluster air fraction must be in [0, 1]")
-        self._cluster_fractions[(src, dst)] = value
-        self._inlet_plans = None
+        self._inlet_op.set_fraction(src, dst, value)
 
     def set_zone_supply(self, zone: str, value: float) -> None:
         """Override a topology zone's cold-aisle supply temperature (fiddle).
@@ -303,9 +303,9 @@ class Solver:
         every machine in the zone sees the new supply in its inlet mix
         from the next tick on.
         """
-        if self._topology_op is None:
+        if self.topology is None:
             raise SolverError("no topology configured")
-        self._topology_op.set_supply(zone, value)
+        self._inlet_op.set_supply(zone, value)
 
     def set_recirculation(self, src: str, dst: str, weight: float) -> None:
         """Change a topology recirculation edge's weight (fiddle).
@@ -315,9 +315,9 @@ class Solver:
         exist in the topology and the new incoming weights of ``dst``
         must stay convex (sum <= 1).
         """
-        if self._topology_op is None:
+        if self.topology is None:
             raise SolverError("no topology configured")
-        self._topology_op.set_weight(src, dst, weight)
+        self._inlet_op.set_weight(src, dst, weight)
 
     # ------------------------------------------------------------------
     # stepping
@@ -362,13 +362,10 @@ class Solver:
         measure = self.telemetry.enabled and impl.measure_host_latency
         if measure:
             tick_start = _time.perf_counter()
-        if impl.provides_inlets:
-            # The engine (the sweep batch pool) derives inlets itself and
-            # maintains _prev_exhaust when it actually computes the tick.
-            impl.tick(None)
-        else:
-            inlet_temps = self._inter_machine_traversal()
-            impl.tick(inlet_temps)
+        impl.tick(self._inter_machine_traversal())
+        # A deferred engine (a batched sweep member) writes the exhausts
+        # back when the pool computes the tick.
+        if not getattr(impl, "deferred", False):
             for name, state in self.machines.items():
                 self._prev_exhaust[name] = state.temperatures[
                     state.layout.exhaust
@@ -388,67 +385,20 @@ class Solver:
             self._record_all()
 
     def _inter_machine_traversal(self) -> Dict[str, float]:
-        """Compute each machine's inlet temperature for this tick."""
-        result: Dict[str, float] = {}
+        """Each machine's inlet temperature for this tick.
+
+        An inlet override wins; otherwise the inlet operator mixes the
+        previous tick's exhausts, and a solver without one keeps every
+        layout inlet.
+        """
+        if self._inlet_op is None:
+            inlets = dict(self._layout_inlets)
+        else:
+            inlets = self._inlet_op.inlets(self._prev_exhaust)
         for name, state in self.machines.items():
             if state.inlet_override is not None:
-                result[name] = state.inlet_override
-            elif self._topology_op is not None:
-                result[name] = self._topology_op.inlet(name, self._prev_exhaust)
-            elif self.cluster is not None:
-                result[name] = self._cluster_inlet(name)
-            else:
-                result[name] = state.layout.inlet_temperature
-        return result
-
-    def _inlet_plan(self, machine: str) -> List[Tuple[bool, str, float]]:
-        """The hoisted mixing terms feeding one machine's inlet.
-
-        Each entry is ``(is_source, src, weight)`` in cluster edge order;
-        ``weight`` is the stream's volumetric flow times the edge
-        fraction, which only changes when a fiddle edit touches the edge
-        set (see :meth:`set_cluster_fraction`), so the whole table is
-        cached rather than recomputed every tick.
-        """
-        assert self.cluster is not None
-        if self._inlet_plans is None:
-            self._inlet_plans = {}
-        plan = self._inlet_plans.get(machine)
-        if plan is None:
-            plan = []
-            for edge in self.cluster.incoming(machine):
-                fraction = self._cluster_fractions[(edge.src, edge.dst)]
-                if edge.src in self.cluster.sources:
-                    source = self.cluster.sources[edge.src]
-                    flow = source.flow_m3s
-                    if flow is None:
-                        flow = sum(
-                            units.cfm_to_m3s(m.fan_cfm)
-                            for m in self.cluster.machines.values()
-                        )
-                    plan.append((True, edge.src, flow * fraction))
-                else:  # recirculation from another machine's exhaust
-                    flow = units.cfm_to_m3s(self.cluster.machines[edge.src].fan_cfm)
-                    plan.append((False, edge.src, flow * fraction))
-            self._inlet_plans[machine] = plan
-        return plan
-
-    def _cluster_inlet(self, machine: str) -> float:
-        """Perfect-mixing inlet temperature from the cluster air graph."""
-        assert self.cluster is not None
-        temps: List[float] = []
-        weights: List[float] = []
-        for is_source, src, weight in self._inlet_plan(machine):
-            if is_source:
-                source = self.cluster.sources[src]
-                temp = self._source_overrides.get(src, source.supply_temperature)
-            else:
-                temp = self._prev_exhaust[src]
-            temps.append(temp)
-            weights.append(weight)
-        if not temps:
-            return self.machines[machine].layout.inlet_temperature
-        return physics.mix_streams(temps, weights)
+                inlets[name] = state.inlet_override
+        return inlets
 
     # ------------------------------------------------------------------
     # checkpoint / restore
@@ -489,17 +439,16 @@ class Solver:
             "time": self.time,
             "iterations": self.iterations,
             "prev_exhaust": dict(self._prev_exhaust),
-            "source_overrides": dict(self._source_overrides),
-            "cluster_fractions": {
-                f"{src}|{dst}": v
-                for (src, dst), v in self._cluster_fractions.items()
-            },
+            "source_overrides": {},
+            "cluster_fractions": {},
             "machines": machines,
         }
-        # The key is present only when a topology is configured, so
-        # topology-free checkpoints stay byte-identical to older ones.
-        if self._topology_op is not None:
-            data["topology"] = self._topology_op.checkpoint()
+        if self.cluster is not None:
+            data.update(self._inlet_op.checkpoint())
+        elif self.topology is not None:
+            # The key is present only when a topology is configured, so
+            # topology-free checkpoints stay byte-identical to older ones.
+            data["topology"] = self._inlet_op.checkpoint()
         return data
 
     def restore(self, data: Mapping[str, object]) -> None:
@@ -532,15 +481,10 @@ class Solver:
         self._prev_exhaust = {
             name: float(v) for name, v in data["prev_exhaust"].items()
         }
-        self._source_overrides = {
-            name: float(v) for name, v in data["source_overrides"].items()
-        }
-        for key, value in data["cluster_fractions"].items():
-            src, dst = key.split("|")
-            if self._cluster_fractions.get((src, dst)) != value:
-                self.set_cluster_fraction(src, dst, value)
-        if self._topology_op is not None and "topology" in data:
-            self._topology_op.restore(data["topology"])
+        if self.cluster is not None:
+            self._inlet_op.restore(data)
+        elif self.topology is not None and "topology" in data:
+            self._inlet_op.restore(data["topology"])
 
     # ------------------------------------------------------------------
     # recording
@@ -574,8 +518,7 @@ class _PythonEngine:
     edge structure.
     """
 
-    #: See :class:`repro.core.compiled.CompiledEngine` for the contract.
-    provides_inlets = False
+    #: See :class:`repro.core.compiled.CompiledEngine`.
     measure_host_latency = True
 
     def __init__(self, solver: Solver) -> None:
@@ -610,9 +553,10 @@ class _MachineSchedule:
     :func:`~repro.core.physics.conduction_heat`,
     :func:`~repro.core.physics.temperature_delta` and
     :meth:`ScaledPowerModel.heat <repro.core.power.ScaledPowerModel.heat>`
-    inline, in their operand order (``sum()`` included), so each
-    temperature is bitwise what calling them gives.  Table and other
-    non-affine power models are still called.
+    inline, in their operand order (mixes added left to right, as
+    ``mix_streams`` adds them), so each temperature is bitwise what
+    calling them gives.  Table and other non-affine power models are
+    still called.
     """
 
     def __init__(self, state: MachineState, plan) -> None:
@@ -670,7 +614,9 @@ class _MachineSchedule:
                         terms.append((src, weight))
                 sources = tuple(terms)
                 if sources:
-                    total = sum([weight for _, weight in sources])
+                    total = 0.0
+                    for _, weight in sources:
+                        total += weight
             capacity_rate = units.air_heat_capacity_rate(flows.get(region, 0.0))
             if capacity_rate <= 0.0:
                 exchanges = ()  # no flow: no stream exchange happens
@@ -707,7 +653,10 @@ class _MachineSchedule:
             if sources is None:
                 t_air = inlet_temperature
             elif sources:
-                t_air = sum([temps[src] * w for src, w in sources]) / total
+                t_air = 0.0
+                for src, w in sources:
+                    t_air += temps[src] * w
+                t_air /= total
             else:
                 t_air = temps[region]  # stagnant pocket keeps its temperature
             for comp_i, component, key in exchanges:

@@ -36,6 +36,7 @@ randomness; all stochastic behaviour lives in the injector's seeded RNG.
 
 from __future__ import annotations
 
+import math
 import shlex
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
@@ -61,11 +62,12 @@ _NET_VERBS = {
 
 def _number(token: str, line: str) -> float:
     try:
-        return float(token)
+        value = float(token)
     except ValueError:
-        raise FaultError(
-            f"expected a number, got {token!r} in {line!r}"
-        ) from None
+        value = math.nan
+    if not math.isfinite(value):
+        raise FaultError(f"expected a finite number, got {token!r} in {line!r}")
+    return value
 
 
 def _split_duration(rest: List[str], line: str) -> Tuple[List[str], Optional[float]]:

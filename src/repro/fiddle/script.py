@@ -35,6 +35,7 @@ parsed form.
 
 from __future__ import annotations
 
+import math
 import shlex
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
@@ -74,13 +75,11 @@ def parse_script(text: str) -> List[TimedCommand]:
             try:
                 delay = float(tokens[1])
             except ValueError:
+                delay = math.nan
+            if not 0.0 <= delay < math.inf:
                 raise FiddleScriptError(
                     f"line {lineno}: bad sleep duration {tokens[1]!r}",
                     line=lineno,
-                ) from None
-            if delay < 0.0:
-                raise FiddleScriptError(
-                    f"line {lineno}: negative sleep", line=lineno
                 )
             clock += delay
         elif tokens[0] == "fiddle":

@@ -34,6 +34,7 @@ out of these.
 
 from __future__ import annotations
 
+import math
 import shlex
 from typing import List, Optional, Sequence
 
@@ -144,16 +145,16 @@ class Fiddle:
         target, verb, rest = tokens[0], tokens[1], tokens[2:]
         if target == "cluster":
             if verb == "source" and len(rest) == 2:
-                self.source(rest[0], _number(rest[1], line))
+                self.source(rest[0], parse_number(rest[1], line))
                 return
             if verb == "fraction" and len(rest) == 3:
-                self.cluster_fraction(rest[0], rest[1], _number(rest[2], line))
+                self.cluster_fraction(rest[0], rest[1], parse_number(rest[2], line))
                 return
             if verb == "zone" and len(rest) == 2:
-                self.zone(rest[0], _number(rest[1], line))
+                self.zone(rest[0], parse_number(rest[1], line))
                 return
             if verb == "recirculation" and len(rest) == 3:
-                self.recirculation(rest[0], rest[1], _number(rest[2], line))
+                self.recirculation(rest[0], rest[1], parse_number(rest[2], line))
                 return
             raise FiddleError(
                 "cluster commands are 'cluster source <name> <value>', "
@@ -171,21 +172,25 @@ class Fiddle:
                 f"verb {verb!r} takes {expected} arguments, got {len(rest)}: {line!r}"
             )
         if verb == "temperature":
-            self.temperature(target, rest[0], _number(rest[1], line))
+            self.temperature(target, rest[0], parse_number(rest[1], line))
         elif verb == "k":
-            self.k(target, rest[0], rest[1], _number(rest[2], line))
+            self.k(target, rest[0], rest[1], parse_number(rest[2], line))
         elif verb == "fraction":
-            self.fraction(target, rest[0], rest[1], _number(rest[2], line))
+            self.fraction(target, rest[0], rest[1], parse_number(rest[2], line))
         elif verb == "fan":
-            self.fan(target, _number(rest[0], line))
+            self.fan(target, parse_number(rest[0], line))
         elif verb == "power":
-            self.power(target, rest[0], _number(rest[1], line))
+            self.power(target, rest[0], parse_number(rest[1], line))
         elif verb == "restore":
             self.restore(target)
 
 
-def _number(token: str, line: str) -> float:
+def parse_number(token: str, line: str) -> float:
+    """A command's finite numeric argument; :class:`FiddleError` otherwise."""
     try:
-        return float(token)
+        value = float(token)
     except ValueError:
-        raise FiddleError(f"expected a number, got {token!r} in {line!r}") from None
+        value = math.nan
+    if not math.isfinite(value):
+        raise FiddleError(f"expected a finite number, got {token!r} in {line!r}")
+    return value

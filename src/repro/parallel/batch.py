@@ -19,9 +19,9 @@ Equivalence is bitwise, not approximate, and rests on three facts:
 * the lockstep driver dispatches each member's kernel events in exactly
   the order ``ClusterSimulation._advance_ticks`` would — the deferred
   physics is flushed before any event that can observe temperatures;
-* the vectorized inter-machine inlet traversal mirrors
-  :func:`repro.core.physics.mix_streams` term for term in the same
-  accumulation order.
+* the pool computes no inlets: each member's solver evaluates its own
+  :class:`~repro.core.inlets.InletOperator` at its tick, exactly as an
+  unpooled solver does, and the pool stacks those values at flush.
 
 Runs the batch cannot express are *evicted* to the per-run
 ``execute_spec`` path: python-engine specs and crash-hook specs up
@@ -37,7 +37,6 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from ..cluster.simulation import ClusterSimulation
-from ..core import physics
 from ..core.compiled import (
     CompiledEngine,
     MachinePlan,
@@ -54,7 +53,6 @@ EVICT_CRASH_HOOK = "crash_hook"      #: crash_at needs the worker-crash path
 EVICT_OPAQUE_POWER = "opaque_power_model"  #: plan cannot batch the model
 EVICT_DT = "dt_mismatch"             #: member ticks on a different grid
 EVICT_STRUCTURAL = "structural_edit"  #: mid-run mutation outside the plan
-EVICT_TOPOLOGY = "topology"          #: spatial topology needs its own inlets
 EVICT_STACK = "scale_stack"          #: scale-stack runs are already vectorized
 
 
@@ -77,10 +75,6 @@ def partition_specs(
             evicted.append((spec, EVICT_ENGINE))
         elif spec.crash_at is not None:
             evicted.append((spec, EVICT_CRASH_HOOK))
-        elif spec.topology is not None:
-            # Topology inlets come from a per-room recirculation operator;
-            # the pool's shared inter-machine pass cannot express them.
-            evicted.append((spec, EVICT_TOPOLOGY))
         else:
             eligible.append(spec)
     return eligible, evicted
@@ -95,20 +89,19 @@ class _PoolSlot:
         self.order = order
         #: True between this member's solver tick and the pool flush.
         self.pending = False
-        #: Identity of the solver's cached inlet-mixing plans; a fiddle
-        #: edit to a cluster fraction replaces the dict, which is how
-        #: the pool notices its weight arrays are stale.
-        self.inlet_plans_obj: object = None
+        #: The inlets the member's solver mixed for its pending tick.
+        self.inlets: Mapping[str, float] = {}
 
 
 class _BatchMemberEngine:
     """The solver engine installed on every pooled member.
 
-    ``tick`` only marks the member pending: the pool computes the
-    physics of all members at once in :meth:`BatchPool.flush`.
+    ``tick`` keeps the member's inlets and marks it pending: the pool
+    computes the physics of all members at once in
+    :meth:`BatchPool.flush` and writes the exhausts back.
     """
 
-    provides_inlets = True
+    deferred = True
     measure_host_latency = False
 
     def __init__(self, pool: "BatchPool", slot: _PoolSlot) -> None:
@@ -121,6 +114,7 @@ class _BatchMemberEngine:
             raise SweepError(
                 "batched member ticked twice without a pool flush"
             )
+        slot.inlets = inlet_temps
         slot.pending = True
         self._pool._pending += 1
 
@@ -135,15 +129,6 @@ class _PoolGroup:
         self.group: Optional[_Group] = None
         #: Slots whose flow edits still owe a recompile telemetry inc.
         self.dirty: set = set()
-        # Inlet traversal tables (see _build_inlets).
-        self._term_count = 0
-        self._weights = None
-        self._term_refs: List = []
-        self._row_terms: List = []
-        self._fixed: List[float] = []
-        self._is_fixed: List[bool] = []
-
-    # -- construction ----------------------------------------------------
 
     def rebuild(self) -> None:
         """(Re)materialize the stacked arrays from the member states.
@@ -159,104 +144,6 @@ class _PoolGroup:
             self.plan, [(name, state) for (_, name, state) in self.entries]
         )
         self.group.rebuild_flows()
-        self._build_inlets()
-
-    def _build_inlets(self) -> None:
-        """Compile the inter-machine inlet traversal for every row.
-
-        Mirrors ``Solver._inter_machine_traversal`` exactly: rows whose
-        machine has no cluster (or no incoming edges) take the layout
-        inlet temperature; the rest mix their incoming streams.  When
-        every mixed row has the same term count the mix runs as slotwise
-        array ops in ``mix_streams``'s accumulation order; ragged
-        layouts keep a per-row scalar fallback.
-        """
-        fixed: List[float] = []
-        is_fixed: List[bool] = []
-        term_lists: List[List[Tuple[float, object]]] = []
-        ref_lists: List[List[Tuple[bool, object, str, float]]] = []
-        for slot, name, state in self.entries:
-            solver = slot.solver
-            terms: List[Tuple[float, object]] = []
-            refs: List[Tuple[bool, object, str, float]] = []
-            if solver.cluster is not None:
-                for is_source, src, weight in solver._inlet_plan(name):
-                    if is_source:
-                        source = solver.cluster.sources[src]
-                        terms.append(
-                            (weight, _source_fetch(solver, src,
-                                                   source.supply_temperature))
-                        )
-                        refs.append(
-                            (True, solver, src, source.supply_temperature)
-                        )
-                    else:
-                        terms.append((weight, _exhaust_fetch(solver, src)))
-                        refs.append((False, solver, src, 0.0))
-            term_lists.append(terms)
-            ref_lists.append(refs)
-            is_fixed.append(not terms)
-            fixed.append(state.layout.inlet_temperature)
-        self._row_terms = term_lists
-        self._fixed = fixed
-        self._is_fixed = is_fixed
-        counts = {len(t) for t in term_lists}
-        if len(counts) == 1 and not any(is_fixed):
-            self._term_count = counts.pop()
-            self._weights = np.array(
-                [[w for w, _ in terms] for terms in term_lists]
-            )
-            # Flattened (is_source, solver, name, supply) per term: the
-            # per-tick fast path reads overrides / previous exhausts
-            # inline instead of paying a closure call per term.  Reads
-            # go through the solver attribute on purpose — restore()
-            # rebinds ``_prev_exhaust`` / ``_source_overrides``.
-            self._term_refs = [ref for refs in ref_lists for ref in refs]
-        else:
-            self._term_count = 0
-            self._weights = None
-            self._term_refs = []
-
-    # -- per-tick work ---------------------------------------------------
-
-    def compute_inlet(self):
-        """Per-row inlet temperatures for this tick."""
-        if self._term_count:
-            k = self._term_count
-            temps = np.array([
-                solver._source_overrides.get(src, supply) if is_source
-                else solver._prev_exhaust[src]
-                for is_source, solver, src, supply in self._term_refs
-            ])
-            if k == 1:
-                w = self._weights[:, 0]
-                inlet = (temps * w) / w
-            else:
-                temps = temps.reshape(-1, k)
-                w = self._weights
-                num = temps[:, 0] * w[:, 0]
-                den = w[:, 0]
-                for j in range(1, k):
-                    num = num + temps[:, j] * w[:, j]
-                    den = den + w[:, j]
-                inlet = num / den
-        else:
-            inlet = np.empty(len(self.entries))
-            for row, terms in enumerate(self._row_terms):
-                if self._is_fixed[row]:
-                    inlet[row] = self._fixed[row]
-                else:
-                    inlet[row] = physics.mix_streams(
-                        [fetch() for _, fetch in terms],
-                        [w for w, _ in terms],
-                    )
-        # Overrides win unconditionally, exactly like the scalar path
-        # (which checks the override before ever mixing).
-        for row, (_, _, state) in enumerate(self.entries):
-            override = state.inlet_override
-            if override is not None:
-                inlet[row] = override
-        return inlet
 
     def write_back(self) -> None:
         """Push computed temperatures into every member's state dict."""
@@ -271,20 +158,6 @@ class _PoolGroup:
 
     def member_rows(self, slot: _PoolSlot) -> int:
         return sum(1 for entry in self.entries if entry[0] is slot)
-
-
-def _source_fetch(solver, src: str, supply: float):
-    def fetch() -> float:
-        return solver._source_overrides.get(src, supply)
-
-    return fetch
-
-
-def _exhaust_fetch(solver, src: str):
-    def fetch() -> float:
-        return solver._prev_exhaust[src]
-
-    return fetch
 
 
 class BatchPool:
@@ -317,9 +190,6 @@ class BatchPool:
         """
         solver = simulation.solver
         if solver.engine != "compiled" or solver.dt != self.dt:
-            return False
-        if getattr(solver, "topology", None) is not None:
-            # Topology inlets need the solver's recirculation operator.
             return False
         plans = []
         for name, state in solver.machines.items():
@@ -420,8 +290,6 @@ class BatchPool:
             pool_group.rebuild()
             for row, (slot, name, state) in enumerate(pool_group.entries):
                 state.listener = self._listener(pool_group, slot, row)
-        for slot in self._slots:
-            slot.inlet_plans_obj = slot.solver._inlet_plans
 
     def _listener(self, pool_group: _PoolGroup, slot: _PoolSlot, row: int):
         group = pool_group.group
@@ -448,16 +316,6 @@ class BatchPool:
                 f"members pending; the lockstep driver must tick every "
                 f"pooled member first"
             )
-        if any(
-            slot.solver.cluster is not None
-            and slot.solver._inlet_plans is not slot.inlet_plans_obj
-            for slot in self._slots
-        ):
-            # A fiddle edit invalidated someone's inlet-mixing plan.
-            for pool_group in self._groups.values():
-                pool_group._build_inlets()
-            for slot in self._slots:
-                slot.inlet_plans_obj = slot.solver._inlet_plans
         for pool_group in self._groups.values():
             group = pool_group.group
             if group.flows_dirty or pool_group.dirty:
@@ -466,15 +324,10 @@ class BatchPool:
                 for slot in sorted(pool_group.dirty, key=lambda s: s.order):
                     self._note_recompile(slot, pool_group)
                 pool_group.dirty.clear()
-        # Every group's inlets are computed before any group writes back:
-        # a recirculation edge between machines in different groups must
-        # read the *previous* tick's exhaust, as the scalar path does.
-        inlets = [
-            (pool_group, pool_group.compute_inlet())
-            for pool_group in self._groups.values()
-        ]
-        for pool_group, inlet in inlets:
-            tick_group(pool_group.group, inlet, self.dt)
+            inlet = np.array([
+                slot.inlets[name] for slot, name, _ in pool_group.entries
+            ])
+            tick_group(group, inlet, self.dt)
             pool_group.write_back()
         for slot in self._slots:
             slot.pending = False

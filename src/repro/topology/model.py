@@ -17,10 +17,9 @@ A :class:`Topology` is *convex by construction*: each machine's inlet is
 
 so the incoming recirculation weights of every machine must sum to at
 most 1, the remainder being the cold-aisle supply fraction.  Unlike the
-perfect-mixing cluster graph there is no flow-weight normalization step,
-which keeps the scalar (per-machine) and vectorized (sparse-matvec)
-evaluations of :mod:`repro.topology.recirculation` in the same
-floating-point accumulation order.
+perfect-mixing cluster graph there is no flow-weight normalization
+step: :mod:`repro.topology.recirculation` compiles each inlet into a
+row of the solvers' one inlet operator with a denominator of exactly 1.
 
 Topologies serialize to plain JSON (``to_dict`` / ``from_dict`` /
 :func:`load_topology`) so they can ride inside a

@@ -1,70 +1,46 @@
-"""The sparse per-machine inlet coupling operator of a topology.
+"""The inlet operator of a spatial topology.
 
-:class:`RecirculationOperator` turns a :class:`~repro.topology.model.
-Topology` into the per-tick inlet computation
+:class:`RecirculationOperator` compiles a :class:`~repro.topology.model.
+Topology` into rows of the solvers' one
+:class:`~repro.core.inlets.InletOperator`:
 
     ``inlet_i = (1 - sum_j w_ji) * supply(zone_i) + sum_j w_ji * exhaust_j``
 
-generalizing the solver's scalar ``set_cluster_fraction`` weights into a
-sparse coupling operator over the whole room.  It offers two bitwise
-compatible evaluations:
-
-* :meth:`inlet` — scalar, one machine at a time, reading a mapping of
-  previous-tick exhausts.  This is what :class:`~repro.core.solver.
-  Solver` calls from its inter-machine traversal (both the python and
-  compiled engines go through the solver's scalar inlet dict).
-* :meth:`inlets_array` — one sparse matvec over the whole machine axis
-  (``np.add.at`` accumulation), used by the flattened
-  :class:`~repro.topology.sim.FlatSolver`.
-
-Both paths add the supply term first and then each incoming edge in
-topology edge order, so they accumulate in the same floating-point
-order; ``tests/topology/test_recirculation.py`` pins the bitwise
-equality.
+generalizing the cluster graph's scalar ``set_cluster_fraction`` weights
+into a sparse coupling over the whole room.  A row adds the zone supply
+term first, then the incoming edges in topology edge order, over a
+denominator of exactly 1.0.
 
 Fiddle edits are supported live: :meth:`set_supply` overrides a zone's
 cold-aisle temperature (an AC failure), :meth:`set_weight` changes one
-recirculation edge (a containment-curtain change).  Both invalidate the
-compiled tables, which are rebuilt lazily.  All mutable state round
-trips through :meth:`checkpoint` / :meth:`restore` as plain JSON data.
+recirculation edge (a containment-curtain change).  Both drop the
+compiled table, which is rebuilt lazily.  All mutable state round trips
+through :meth:`checkpoint` / :meth:`restore` as plain JSON data.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, Mapping, Tuple
 
 import numpy as np
 
+from ..core.inlets import InletOperator
 from ..errors import TopologyError
 from .model import Topology, _SUM_TOLERANCE
 
 
-class RecirculationOperator:
+class RecirculationOperator(InletOperator):
     """Live, editable inlet-mixing operator compiled from a topology."""
 
     def __init__(self, topology: Topology) -> None:
+        super().__init__(topology.machines)
         self.topology = topology
-        self.names: Tuple[str, ...] = topology.machines
-        self.index: Dict[str, int] = {
-            name: i for i, name in enumerate(self.names)
-        }
         #: Live edge weights, editable through :meth:`set_weight`.
         self._weights: Dict[Tuple[str, str], float] = {
             (e.src, e.dst): e.weight for e in topology.recirculation
         }
         #: Zone supply-temperature overrides (fiddle ``cluster zone``).
         self._supply_overrides: Dict[str, float] = {}
-        # Compiled tables, rebuilt lazily after an edit.
-        self._dirty = True
-        self._supply_frac: List[float] = []
-        self._supply_temp: List[float] = []
-        #: Per machine: incoming (src name, weight) terms in edge order.
-        self._terms: List[List[Tuple[str, float]]] = []
-        self._rows = None  # dst index per edge (NumPy path)
-        self._cols = None  # src index per edge
-        self._w = None  # weight per edge
-        self._supply_arr = None
-        self._frac_arr = None
 
     # -- edits -----------------------------------------------------------
 
@@ -73,7 +49,7 @@ class RecirculationOperator:
         if zone not in self.topology.zones:
             raise TopologyError(f"unknown zone {zone!r}")
         self._supply_overrides[zone] = float(value)
-        self._dirty = True
+        self.invalidate()
 
     def set_weight(self, src: str, dst: str, value: float) -> None:
         """Change one recirculation edge's weight.
@@ -96,7 +72,7 @@ class RecirculationOperator:
                 f"incoming weights of {dst!r} would sum to {total:.4f} > 1"
             )
         self._weights[(src, dst)] = float(value)
-        self._dirty = True
+        self.invalidate()
 
     def supply_temperature(self, zone: str) -> float:
         """Current (possibly overridden) supply temperature of a zone."""
@@ -117,61 +93,33 @@ class RecirculationOperator:
 
     # -- compilation -----------------------------------------------------
 
-    def _compile(self) -> None:
+    def _compile(self) -> tuple:
         topo = self.topology
         n = len(self.names)
-        terms: List[List[Tuple[str, float]]] = [[] for _ in range(n)]
-        incoming = [0.0] * n
-        rows: List[int] = []
-        cols: List[int] = []
-        weights: List[float] = []
-        for edge in topo.recirculation:
-            w = self._weights[(edge.src, edge.dst)]
-            dst_i = self.index[edge.dst]
-            terms[dst_i].append((edge.src, w))
-            incoming[dst_i] += w
-            rows.append(dst_i)
-            cols.append(self.index[edge.src])
-            weights.append(w)
-        self._terms = terms
-        self._supply_frac = [1.0 - total for total in incoming]
-        self._supply_temp = [
-            self.supply_temperature(topo.positions[name].zone)
-            for name in self.names
-        ]
-        self._rows = np.array(rows, dtype=np.intp)
-        self._cols = np.array(cols, dtype=np.intp)
-        self._w = np.array(weights, dtype=float)
-        self._supply_arr = np.array(self._supply_temp, dtype=float)
-        self._frac_arr = np.array(self._supply_frac, dtype=float)
-        self._dirty = False
-
-    # -- evaluation ------------------------------------------------------
-
-    def inlet(self, machine: str, prev_exhaust: Mapping[str, float]) -> float:
-        """Scalar inlet temperature of one machine for this tick."""
-        if self._dirty:
-            self._compile()
-        i = self.index[machine]
-        total = self._supply_frac[i] * self._supply_temp[i]
-        for src, w in self._terms[i]:
-            total += w * prev_exhaust[src]
-        return total
-
-    def inlets_array(self, prev_exhaust):
-        """Per-machine inlet temperatures as one sparse matvec.
-
-        ``prev_exhaust`` is the previous-tick exhaust array in canonical
-        machine order.  ``np.add.at`` applies the edge contributions
-        unbuffered in edge order, matching :meth:`inlet`'s scalar
-        accumulation bitwise.
-        """
-        if self._dirty:
-            self._compile()
-        out = self._frac_arr * self._supply_arr
-        if len(self._rows):
-            np.add.at(out, self._rows, self._w * prev_exhaust[self._cols])
-        return out
+        edges = topo.recirculation
+        src = np.array([self.index[e.src] for e in edges], dtype=np.intp)
+        dst = np.array([self.index[e.dst] for e in edges], dtype=np.intp)
+        w = np.array([self._weights[(e.src, e.dst)] for e in edges],
+                     dtype=float)
+        incoming = np.zeros(n)
+        np.add.at(incoming, dst, w)  # unbuffered, in edge order
+        # Term 0 of a row is its zone supply; an edge follows the edges
+        # into the same machine that precede it in the topology.
+        counts = np.bincount(dst, minlength=n)
+        starts = np.cumsum(counts) - counts
+        place = np.empty(len(edges), dtype=np.intp)
+        place[np.argsort(dst, kind="stable")] = (
+            np.arange(1, len(edges) + 1) - np.repeat(starts, counts)
+        )
+        supply = {zone: self.supply_temperature(zone) for zone in topo.zones}
+        rows = np.arange(n)
+        return self._table(
+            np.concatenate((rows, place * n + dst)),
+            np.concatenate((n + rows, src)),
+            np.concatenate((1.0 - incoming, w)),
+            [supply[topo.positions[name].zone] for name in self.names],
+            np.ones(n),
+        )
 
     # -- checkpoint / restore --------------------------------------------
 
@@ -206,7 +154,7 @@ class RecirculationOperator:
             raise TopologyError("checkpoint weight set does not match topology")
         self._supply_overrides = overrides
         self._weights = weights
-        self._dirty = True
+        self.invalidate()
 
     def __repr__(self) -> str:
         return (

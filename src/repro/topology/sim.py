@@ -14,7 +14,7 @@ the whole room is a single machines×nodes state array built by
 array kernel the per-machine engines use, so the physics agrees with
 the reference solver within the usual 1e-9 °C.  Between ticks the
 :class:`~repro.topology.recirculation.RecirculationOperator` turns the
-exhaust column into next tick's inlet vector with one sparse matvec.
+exhaust column into next tick's inlet vector in one table evaluation.
 Sensor sampling is a column read; there are no per-machine objects at
 all.
 
@@ -96,6 +96,7 @@ def inlet_events_from_script(text: str) -> List[Tuple[float, str, float]]:
     rather than silently ignored.
     """
     from ..fiddle.script import parse_script
+    from ..fiddle.tool import parse_number
 
     events: List[Tuple[float, str, float]] = []
     for timed in parse_script(text):
@@ -108,7 +109,9 @@ def inlet_events_from_script(text: str) -> List[Tuple[float, str, float]]:
             and tokens[2] == "temperature"
             and tokens[3] == "inlet"
         ):
-            events.append((timed.time, tokens[1], float(tokens[4])))
+            events.append(
+                (timed.time, tokens[1], parse_number(tokens[4], timed.command))
+            )
         else:
             raise TopologyError(
                 "scale runs support only "

@@ -77,6 +77,10 @@ class TestParseFaultCommand:
             "fault m1 sensor stuck cpu for",
             "fault m1 sensor stuck cpu for 10 20",
             "fault m1 sensor spike cpu abc",
+            "fault net delay nan",
+            "fault net loss inf",
+            "fault m1 sensor spike cpu nan",
+            "fault m1 sensor stuck cpu 45 for inf",
         ],
     )
     def test_malformed_commands_rejected(self, line):

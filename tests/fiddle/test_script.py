@@ -47,7 +47,10 @@ class TestParseScript:
             "sleep\n",
             "sleep abc\n",
             "sleep -5\n",
+            "sleep nan\n",
+            "sleep inf\n",
             "reboot now\n",
+            "fault net delay nan\n",
         ],
     )
     def test_malformed_scripts_rejected(self, script):

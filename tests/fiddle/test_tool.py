@@ -126,6 +126,11 @@ class TestCommandStrings:
             "fiddle machine1 fan",
             "fiddle cluster source onlyname",
             "fiddle machine1 k CPU 0.5",
+            "fiddle cluster source AC nan",
+            "fiddle cluster fraction AC machine1 nan",
+            "fiddle machine1 temperature inlet nan",
+            "fiddle machine1 temperature CPU inf",
+            "fiddle machine1 fan -inf",
         ],
     )
     def test_malformed_commands_rejected(self, fiddle, line):

@@ -6,9 +6,13 @@ import pytest
 
 np = pytest.importorskip("numpy")
 
-from repro.errors import TopologyError
+from repro.errors import FiddleError, TopologyError
 from repro.telemetry import Telemetry, parse_prometheus
-from repro.topology import ScaleSimulation, grid_topology
+from repro.topology import (
+    ScaleSimulation,
+    grid_topology,
+    inlet_events_from_script,
+)
 
 
 def room(n=60, zones=3):
@@ -56,6 +60,13 @@ class TestWorkload:
             ScaleSimulation(room(), policy="overclock")
         with pytest.raises(TopologyError, match="duration"):
             ScaleSimulation(room(), duration=0.0)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "warm"])
+    def test_inlet_events_need_a_finite_temperature(self, value):
+        with pytest.raises(FiddleError, match="number"):
+            inlet_events_from_script(
+                f"sleep 10\nfiddle machine1 temperature inlet {value}\n"
+            )
 
 
 class TestTelemetry:

@@ -84,14 +84,14 @@ class TestFiddleVerbs:
         solver = build_solver()
         fiddle = Fiddle(solver)
         fiddle.command("cluster zone zone0 31.5")
-        assert solver._topology_op.supply_temperature("zone0") == 31.5
+        assert solver._inlet_op.supply_temperature("zone0") == 31.5
         assert "cluster zone zone0 31.5" in fiddle.log
 
     def test_recirculation_verb(self):
         solver = build_solver()
         fiddle = Fiddle(solver)
         fiddle.command("cluster recirculation machine1 machine2 0.15")
-        assert solver._topology_op.weight("machine1", "machine2") == 0.15
+        assert solver._inlet_op.weight("machine1", "machine2") == 0.15
 
     def test_bad_cluster_verb_mentions_new_forms(self):
         solver = build_solver()
@@ -113,8 +113,8 @@ class TestCheckpoint:
 
         clone = build_solver()
         clone.restore(data)
-        assert clone._topology_op.supply_temperature("zone1") == 26.0
-        assert clone._topology_op.weight("machine1", "machine2") == 0.13
+        assert clone._inlet_op.supply_temperature("zone1") == 26.0
+        assert clone._inlet_op.weight("machine1", "machine2") == 0.13
         # Bit-exact resume: both solvers walk the same trajectory.
         for _ in range(50):
             solver.step()

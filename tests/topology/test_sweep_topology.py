@@ -1,15 +1,33 @@
-"""Sweep-engine integration: topology specs, eviction, crash resume."""
+"""Sweep-engine integration: topology specs, batching, crash resume."""
 
 import json
 
 import pytest
 
 from repro.errors import SweepError
-from repro.parallel import RunSpec, execute_spec, expand_grid, sweep
-from repro.parallel.batch import EVICT_TOPOLOGY, partition_specs
+from repro.parallel import RunSpec, engine, execute_spec, expand_grid, sweep
+from repro.parallel.batch import BatchMember, BatchRunner, partition_specs
 from repro.topology import grid_topology
 
 TOPOLOGY_JSON = grid_topology(6, zones=2, machines_per_rack=3).to_json()
+
+#: Mid-run topology edits: a hotter zone supply, a stronger and a cut
+#: recirculation edge, then a cooler second zone.
+EDIT_SCRIPT = """\
+sleep 40
+fiddle cluster zone zone0 30
+sleep 30
+fiddle cluster recirculation machine1 machine2 0.3
+sleep 30
+fiddle cluster recirculation machine4 machine5 0
+fiddle cluster zone zone1 18
+"""
+EDITS = [
+    "cluster zone zone0 30.0",
+    "cluster recirculation machine1|machine2 0.3",
+    "cluster recirculation machine4|machine5 0.0",
+    "cluster zone zone1 18.0",
+]
 
 
 def specs_for(grid_extra=None, **base_extra):
@@ -53,10 +71,11 @@ class TestSpec:
 
 
 class TestBatchEviction:
-    def test_topology_specs_are_evicted(self):
-        eligible, evicted = partition_specs(specs_for())
-        assert eligible == []
-        assert [reason for _, reason in evicted] == [EVICT_TOPOLOGY] * 2
+    def test_topology_specs_are_eligible(self):
+        specs = specs_for()
+        eligible, evicted = partition_specs(specs)
+        assert eligible == specs
+        assert evicted == []
 
     def test_strategies_agree_byte_for_byte(self):
         specs = specs_for()
@@ -68,11 +87,36 @@ class TestBatchEviction:
         )
 
 
+class TestBatchedEdits:
+    def test_zone_and_recirculation_edits_stay_byte_identical(
+        self, monkeypatch
+    ):
+        # Every spec of the pair runs the edit script instead of the
+        # emergency one, batched and on the fork path alike.
+        monkeypatch.setattr(engine, "emergency_script", lambda: EDIT_SCRIPT)
+        specs = specs_for()
+        members = [BatchMember(spec, engine.build_simulation(spec))
+                   for spec in specs]
+        runner = BatchRunner(members)
+        assert all(member.pooled for member in members)
+        runner.run()
+        assert runner.pool.evictions == []
+        for member in members:
+            assert member.simulation.result().fiddle_log == EDITS
+            batched = engine.collect_result(member.spec, member.simulation)
+            fork = execute_spec(member.spec)
+            same = json.dumps(batched.to_dict(), sort_keys=True) == (
+                json.dumps(fork.to_dict(), sort_keys=True)
+            )
+            assert same, f"{member.spec.run_id} diverged from its fork run"
+
+
 class TestCrashResume:
     def test_resume_under_batch_strategy(self):
-        # A crashing topology run inside strategy="batch": the spec is
-        # evicted to the fan-out path, crashes, resumes from its
-        # checkpoint, and still reproduces the clean run exactly.
+        # A crashing topology run inside strategy="batch": the crash
+        # hook evicts the spec to the fan-out path, where it crashes,
+        # resumes from its checkpoint, and still reproduces the clean
+        # run exactly.
         params = dict(
             scenario="emergency", duration=300.0, engine="compiled",
             topology=TOPOLOGY_JSON, checkpoint_every=60.0,
