@@ -269,6 +269,10 @@ class _Group:
         #: The kernel's per-``dt`` flow coefficients (see
         #: :class:`_Coefficients`); None until the next tick builds them.
         self.coefficients: Optional[_Coefficients] = None
+        #: The kernel's reusable arrays (see :func:`_workspace`); built on
+        #: the first tick, rebuilt if the row count changes, never
+        #: checkpointed.
+        self.workspace: Optional[Tuple[np.ndarray, ...]] = None
 
     @classmethod
     def from_template(
@@ -356,6 +360,22 @@ def _tile(row, count: int):
     return out
 
 
+def _uniform(values):
+    """``values`` as one 0-d array if every row holds the same bits.
+
+    The rows are compared through an ``int64`` view, so ``-0.0`` and
+    ``0.0``, or two NaN payloads, count as different.  The shared bits
+    then give every row of a multiply, divide or add exactly what the
+    array would, without streaming a copy per row.  A 0-d float64 array
+    rather than a Python float: NumPy converts a Python float operand on
+    every call, which makes a multiply on a few rows about 1.5x slower.
+    """
+    bits = values.view(np.int64)
+    if (bits == bits[0]).all():
+        return np.array(values[0])
+    return values
+
+
 class _Coefficients:
     """The per-flow constants :func:`tick_group` needs for one ``dt``.
 
@@ -364,8 +384,11 @@ class _Coefficients:
     and two-body terms are computed once here instead of every tick.
     Every expression is the one the kernel used to evaluate per tick, in
     the same operand order, so the cached values are bitwise the same.
-    A group drops its cache on :meth:`_Group.rebuild_flows` and on any
-    ``k`` edit; a tick with a different ``dt`` builds a new one.
+    Each per-flow value is kept as one value when every row holds the
+    same bits (a room tiled from one template), else as its array (see
+    :func:`_uniform`).  A group drops its cache on
+    :meth:`_Group.rebuild_flows` and on any ``k`` edit; a tick with a
+    different ``dt`` builds a new one.
     """
 
     def __init__(self, g: _Group, dt: float) -> None:
@@ -377,9 +400,10 @@ class _Coefficients:
         self.dt = dt
         #: One (column, mixing, exchange) per air region, in flow order.
         #: ``mixing`` is None for the inlet and stagnant pockets, else
-        #: (((source column, weight), ...), den, mixed); ``exchange`` is
-        #: None without attached components, else (cr*dt, flowing,
-        #: ((component, exp(-k/cr)), ...)).  The ``mixed`` and
+        #: ((source column, weight), ((source column, weight), ...), den,
+        #: unmixed): the first term, then the rest; ``exchange``
+        #: is None without attached components, else (cr*dt, flowing,
+        #: ((component, exp(-k/cr)), ...)).  The ``unmixed`` and
         #: ``flowing`` masks are None when every row mixes or flows.
         regions = []
         for air_i in plan.air_order:
@@ -390,13 +414,15 @@ class _Coefficients:
                 den = None
                 for src_air, edge_i in terms:
                     w = flows[:, src_air] * g.fractions[:, edge_i]
-                    weights.append((n_comps + src_air, w))
+                    weights.append((n_comps + src_air, _uniform(w)))
                     den = w if den is None else den + w
                 if den.all():
-                    mixing = (tuple(weights), den, None)
+                    unmixed = None
                 else:
                     mixed = den > 0.0
-                    mixing = (tuple(weights), np.where(mixed, den, 1.0), mixed)
+                    den = np.where(mixed, den, 1.0)
+                    unmixed = ~mixed
+                mixing = (weights[0], tuple(weights[1:]), _uniform(den), unmixed)
             exchange = None
             attached = plan.air_heat.get(air_i)
             if attached:
@@ -408,10 +434,10 @@ class _Coefficients:
                     flowing = cr > 0.0
                     cr_safe = np.where(flowing, cr, 1.0)
                 exchange = (
-                    cr * dt,
+                    _uniform(cr * dt),
                     flowing,
                     tuple(
-                        (comp_i, np.exp(-(k[:, edge_i] / cr_safe)))
+                        (comp_i, _uniform(np.exp(-(k[:, edge_i] / cr_safe))))
                         for comp_i, edge_i in attached
                     ),
                 )
@@ -419,7 +445,7 @@ class _Coefficients:
         self.regions = tuple(regions)
         #: (a, b, c_eff, -expm1(...)) per component-component edge.
         self.comp_comp = tuple(
-            (a_i, b_i, c_eff, -np.expm1(-k[:, edge_i] * dt / c_eff))
+            (a_i, b_i, c_eff, _uniform(-np.expm1(-k[:, edge_i] * dt / c_eff)))
             for a_i, b_i, edge_i, c_eff in plan.comp_comp
         )
         #: (a column, b column, mc_a, mc_b, c_eff, -expm1(...)) per
@@ -429,32 +455,53 @@ class _Coefficients:
             mc_a = np.maximum(cap[:, a_air] * dt, 1e-9)
             mc_b = np.maximum(cap[:, b_air] * dt, 1e-9)
             c_eff = 1.0 / (1.0 / mc_a + 1.0 / mc_b)
+            decay = -np.expm1(-k[:, edge_i] * dt / c_eff)
             air_air.append((
                 n_comps + a_air,
                 n_comps + b_air,
-                mc_a,
-                mc_b,
-                c_eff,
-                -np.expm1(-k[:, edge_i] * dt / c_eff),
+                _uniform(mc_a),
+                _uniform(mc_b),
+                _uniform(c_eff),
+                _uniform(decay),
             ))
         self.air_air = tuple(air_air)
+
+
+def _workspace(g: _Group):
+    """The group's reusable arrays: ``start`` and ``heat`` (rows ×
+    components, column-major) and three row vectors."""
+    rows = g.T.shape[0]
+    ws = g.workspace
+    if ws is None or ws[2].shape[0] != rows:
+        n_comps = g.plan.n_comps
+        ws = g.workspace = (
+            np.empty((rows, n_comps), order="F"),
+            np.empty((rows, n_comps), order="F"),
+            np.empty(rows),
+            np.empty(rows),
+            np.empty(rows),
+        )
+    return ws
 
 
 def tick_group(g: _Group, inlet, dt: float) -> None:
     """Advance one batched group a single step of ``dt`` seconds.
 
-    ``inlet`` is the per-row inlet temperature array.  The caller is
-    responsible for rebuilding stale flow arrays first (see
-    :meth:`_Group.rebuild_flows`); the flow coefficients for ``dt`` are
-    built here on first use and reused until an edit drops them.
+    ``inlet`` is the per-row inlet temperature array; it is copied, never
+    written.  The caller is responsible for rebuilding stale flow arrays
+    first (see :meth:`_Group.rebuild_flows`); the flow coefficients for
+    ``dt`` are built here on first use and reused until an edit drops
+    them.  Every step writes through its ufunc's output argument into
+    the group's workspace or ``T``, so a tick allocates no arrays (table
+    power models still call the model once per row).
 
     Every operation is elementwise along axis 0, so each row's result is
     a pure function of that row's values — stacking more rows (more
     machines, or more *runs* in the sweep batch engine) cannot perturb
-    any existing row bitwise.  The only cross-row reads are the
-    ``all()`` reductions taken when the coefficients are built, which
-    merely select between two bit-equivalent code paths for the rows
-    that flow.
+    any existing row bitwise.  The only cross-row reads are taken when
+    the coefficients are built: the ``all()`` reductions, and the check
+    that keeps a coefficient every row shares as one value.  Both merely
+    select between bit-equivalent forms of the same per-row values.
     """
     coef = g.coefficients
     if coef is None or coef.dt != dt:
@@ -463,60 +510,81 @@ def tick_group(g: _Group, inlet, dt: float) -> None:
     T = g.T
     n_comps = plan.n_comps
     inlet_col = n_comps + plan.inlet_air
-    start = T[:, :n_comps].copy(order="F")
-    heat = np.zeros_like(start, order="F")
+    start, heat, t_air, t_out, q = _workspace(g)
+    start[:] = T[:, :n_comps]
+    heat.fill(0.0)
+    # Each ufunc's third argument is its output array; local names and
+    # positional outputs keep the per-call cost down on a few rows.
+    add, sub, mul, div = np.add, np.subtract, np.multiply, np.divide
 
     # --- intra-machine air traversal (advection + stream exchange) ---
     for col, mixing, exchange in coef.regions:
         if col == inlet_col:
-            t_air = inlet
+            t_air[:] = inlet
         elif mixing is None:
-            t_air = T[:, col].copy()  # stagnant pocket
+            t_air[:] = T[:, col]  # stagnant pocket
         else:
-            weights, den, mixed = mixing
-            num = None
-            for src_col, w in weights:
-                contrib = T[:, src_col] * w
-                num = contrib if num is None else num + contrib
-            if mixed is None:
-                t_air = num / den
-            else:
-                t_air = np.where(mixed, num / den, T[:, col])
+            (src_col, w), rest, den, unmixed = mixing
+            mul(T[:, src_col], w, t_air)
+            for src_col, w in rest:
+                mul(T[:, src_col], w, q)
+                add(t_air, q, t_air)
+            div(t_air, den, t_air)
+            if unmixed is not None:
+                np.copyto(t_air, T[:, col], where=unmixed)
         if exchange is not None:
             cr_dt, flowing, factors = exchange
             for comp_i, factor in factors:
                 body = start[:, comp_i]
-                t_out = body + (t_air - body) * factor
+                heat_col = heat[:, comp_i]
+                sub(t_air, body, t_out)
+                mul(t_out, factor, t_out)
+                add(body, t_out, t_out)
+                sub(t_out, t_air, q)
+                mul(cr_dt, q, q)
                 if flowing is None:
-                    heat[:, comp_i] -= cr_dt * (t_out - t_air)
-                    t_air = t_out
+                    sub(heat_col, q, heat_col)
+                    t_air, t_out = t_out, t_air
                 else:
-                    q = cr_dt * (t_out - t_air)
-                    t_air = np.where(flowing, t_out, t_air)
-                    heat[:, comp_i] -= np.where(flowing, q, 0.0)
+                    np.copyto(t_air, t_out, where=flowing)
+                    sub(heat_col, q, heat_col, where=flowing)
         T[:, col] = t_air
 
     # --- inter-component heat flow + air-air conduction ---
     for a_i, b_i, c_eff, decay in coef.comp_comp:
-        q = c_eff * (start[:, a_i] - start[:, b_i]) * decay
-        heat[:, a_i] -= q
-        heat[:, b_i] += q
+        sub(start[:, a_i], start[:, b_i], q)
+        mul(c_eff, q, q)
+        mul(q, decay, q)
+        heat_a = heat[:, a_i]
+        sub(heat_a, q, heat_a)
+        heat_b = heat[:, b_i]
+        add(heat_b, q, heat_b)
     for a_col, b_col, mc_a, mc_b, c_eff, decay in coef.air_air:
-        q = c_eff * (T[:, a_col] - T[:, b_col]) * decay
-        T[:, a_col] -= q / mc_a
-        T[:, b_col] += q / mc_b
+        t_a = T[:, a_col]
+        t_b = T[:, b_col]
+        sub(t_a, t_b, q)
+        mul(c_eff, q, q)
+        mul(q, decay, q)
+        div(q, mc_a, t_out)
+        sub(t_a, t_out, t_a)
+        div(q, mc_b, t_out)
+        add(t_b, t_out, t_b)
 
     # --- component self-heating and temperature update ---
+    power = q
     for comp_i, spec in enumerate(plan.power_specs):
         if spec[0] == "affine":
-            power = spec[1] + g.util[:, comp_i] * spec[2]
+            mul(g.util[:, comp_i], spec[2], power)
+            add(spec[1], power, power)
         else:
             model = spec[1]
-            power = np.array(
-                [model.power(u) for u in g.util[:, comp_i].tolist()]
-            )
-        heat[:, comp_i] += power * g.factor[:, comp_i] * dt
-    T[:, :n_comps] = start + heat / plan.mc
+            power[:] = [model.power(u) for u in g.util[:, comp_i].tolist()]
+        mul(power, g.factor[:, comp_i], power)
+        mul(power, dt, power)
+        heat_col = heat[:, comp_i]
+        add(heat_col, power, heat_col)
+    div(heat, plan.mc, heat)
+    add(start, heat, T[:, :n_comps])
 
 
 class CompiledEngine:

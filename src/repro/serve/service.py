@@ -10,8 +10,13 @@ runs.  Two loops share one process without threads:
   free-running (``pace=0``, yield between chunks);
 * the **I/O loop** is asyncio: the HTTP routes below, the SSE broadcast,
   and (optionally) the sensor and admd UDP endpoints all interleave
-  with the simulation chunks, so a scrape never blocks a tick and a
-  tick never blocks a scrape for longer than one chunk.
+  with the simulation chunks, so a scrape never blocks a tick.  A
+  free-running service yields to the loop once per chunk, so each
+  event-loop turn a connection needs waits up to one chunk: a
+  ``/metrics`` scrape needs 4-5 turns on the server side (accept, read,
+  respond, close), and 11-14 in all with an HTTP client in the same
+  process.  A paced service that falls behind runs chunks back to back
+  until it catches up.
 
 Routes::
 

@@ -357,6 +357,8 @@ class ScaleSimulation:
         self.phases = np.array(
             phase_offsets(n, spread=phase_spread, seed=phase_seed)
         )
+        #: Each machine's phase offset in seconds.
+        self._phase_shift = self.phases * self.duration
         #: Per-machine peak offered rate: each machine serves its own
         #: regional stream sized for one server at the target peak.
         self._peak_rate = peak_rate_for_utilization(
@@ -527,9 +529,20 @@ class ScaleSimulation:
         per-machine phase offsets and no jitter (jitter would need a
         per-machine RNG stream per tick; the phase spread already
         decorrelates the room).
+
+        The wrap into one period is ``x % duration`` for ``x = t - phase
+        * duration``.  While every ``x`` lies in ``[-duration, duration)``
+        it is computed as ``x + (duration if x < 0 else 0.0)``, which is
+        bitwise what ``%`` returns there (``fmod`` is exact, and NumPy
+        adds ``duration`` once to a negative remainder) without a
+        ``fmod`` per machine.
         """
         duration = self.duration
-        tt = (t - self.phases * duration) % duration
+        x = t - self._phase_shift
+        if -duration <= x.min() and x.max() < duration:
+            tt = x + np.where(x < 0.0, duration, 0.0)
+        else:
+            tt = x % duration
         shape = diurnal_shape_array(tt, duration, self._plateau)
         return self._valley_rate + (self._peak_rate - self._valley_rate) * shape
 

@@ -9,6 +9,11 @@ was before the cache (``_reference_tick_group``) and demands
 layouts (stagnant pockets, air-air edges, table power models), 1-64
 rows with some zero-fan rows, and k / fraction / fan / power-scale /
 ``dt`` edits between ticks.
+
+The kernel also writes through a per-group workspace and keeps a
+coefficient every row shares as one value.  Tiled rooms of 1024+ rows
+pin both: all-shared coefficients, a ``k`` edit that mixes shared and
+per-row forms, two groups ticked in turn, and ``dt`` changes.
 """
 
 import random
@@ -18,6 +23,7 @@ from hypothesis import given, settings, strategies as st
 
 np = pytest.importorskip("numpy")
 
+from repro.config.layouts import validation_machine
 from repro.core.compiled import _Group, compile_layout, tick_group
 from repro.core.state import MachineState
 
@@ -187,3 +193,115 @@ def test_kernel_matches_frozen_reference_bitwise(seed, rows, dt):
         tick_group(cached, inlet, dt)
         _reference_tick_group(reference, inlet, dt)
         assert np.array_equal(cached.T, reference.T), f"tick {tick} (dt={dt})"
+
+
+# ----------------------------------------------------------------------
+# tiled rooms: shared (0-d) and per-row coefficient forms, workspaces
+# ----------------------------------------------------------------------
+
+ROOM_ROWS = 1024
+
+
+def _coefficient_values(coef):
+    """Every per-flow value of a coefficient cache (masks excluded)."""
+    for _, mixing, exchange in coef.regions:
+        if mixing is not None:
+            first, rest, den, _ = mixing
+            yield first[1]
+            yield from (w for _, w in rest)
+            yield den
+        if exchange is not None:
+            cr_dt, _, factors = exchange
+            yield cr_dt
+            yield from (factor for _, factor in factors)
+    for *_, decay in coef.comp_comp:
+        yield decay
+    for _, _, mc_a, mc_b, c_eff, decay in coef.air_air:
+        yield from (mc_a, mc_b, c_eff, decay)
+
+
+def _forms(group):
+    """(shared, per-row) coefficient counts of the group's cache."""
+    dims = [np.ndim(value) for value in _coefficient_values(group.coefficients)]
+    return dims.count(0), dims.count(1)
+
+
+def _template_pair(rng, layout, rows):
+    """Two tiled groups, then the same per-row temperatures and loads.
+
+    Temperatures and utilizations are state, not coefficients, so the
+    rows differ while every coefficient stays shared.
+    """
+    plan = compile_layout(layout)
+    template = MachineState(layout, 25.0)
+    groups = tuple(
+        _Group.from_template(plan, template, rows) for _ in range(2)
+    )
+    T = np.array([
+        [round(rng.uniform(15.0, 60.0), 2) for _ in plan.node_names]
+        for _ in range(rows)
+    ])
+    util = np.array([
+        [round(rng.uniform(0.0, 1.0), 3) for _ in plan.comp_names]
+        for _ in range(rows)
+    ])
+    for g in groups:
+        g.T[:] = T
+        g.util[:] = util
+        g.rebuild_flows()
+    return groups
+
+
+def _tick_pair(rng, pair, dt):
+    kernel, reference = pair
+    rows = kernel.T.shape[0]
+    inlet = np.array([round(rng.uniform(15.0, 40.0), 2) for _ in range(rows)])
+    sent = inlet.copy()
+    tick_group(kernel, inlet, dt)
+    _reference_tick_group(reference, inlet, dt)
+    assert np.array_equal(inlet, sent), "the kernel wrote into its inlet"
+    return np.array_equal(kernel.T, reference.T)
+
+
+@pytest.mark.parametrize("seed", [None, 3, 17])
+def test_tiled_room_shared_then_mixed_coefficients(seed):
+    """seed None is the validation machine; the others random layouts."""
+    rng = random.Random(seed)
+    layout = (
+        validation_machine("template") if seed is None
+        else random_machine(rng, "template")
+    )
+    pair = _template_pair(rng, layout, ROOM_ROWS)
+    kernel = pair[0]
+    for tick in range(4):
+        assert _tick_pair(rng, pair, 1.0), f"shared, tick {tick}"
+    shared, per_row = _forms(kernel)
+    assert shared > 0 and per_row == 0
+
+    key = rng.choice(kernel.plan.heat_keys)
+    for g in pair:
+        g.apply(ROOM_ROWS // 3, "k", key, 0.123)
+    for tick in range(4):
+        assert _tick_pair(rng, pair, 1.0), f"mixed, tick {tick}"
+    shared, per_row = _forms(kernel)
+    assert shared > 0 and per_row > 0
+
+
+def test_two_tiled_groups_ticked_in_turn_share_no_workspace():
+    rng = random.Random(5)
+    room = _template_pair(rng, validation_machine("template"), ROOM_ROWS)
+    other = _template_pair(rng, random_machine(rng, "other"), ROOM_ROWS + 7)
+    for tick in range(6):
+        assert _tick_pair(rng, room, 1.0), f"room, tick {tick}"
+        assert _tick_pair(rng, other, 1.0), f"other, tick {tick}"
+    for mine in room[0].workspace:
+        for theirs in other[0].workspace:
+            assert not np.shares_memory(mine, theirs)
+
+
+def test_tiled_room_dt_changes_between_ticks():
+    rng = random.Random(11)
+    pair = _template_pair(rng, random_machine(rng, "template"), ROOM_ROWS)
+    for tick, dt in enumerate((1.0, 0.25, 0.25, 5.0, 1.0, 0.25)):
+        assert _tick_pair(rng, pair, dt), f"tick {tick} (dt={dt})"
+        assert pair[0].coefficients.dt == dt

@@ -93,7 +93,8 @@ def test_random_grid_batched_equals_sequential(case_seed):
     assert [r.run_id for r in batched] == [s.run_id for s in specs]
     for spec, got in zip(specs, batched):
         want = execute_spec(spec)
-        assert _dumps(got) == _dumps(want), (
+        same = _dumps(got) == _dumps(want)
+        assert same, (
             f"case_seed={case_seed} run_id={spec.run_id!r}: batched "
             f"result diverged from the sequential path (spec: "
             f"{spec.to_dict()})"
@@ -107,7 +108,8 @@ def test_single_run_grid_batched_equals_sequential():
         scenario="emergency", duration=520.0,
     )
     (got,) = run_batch([spec])
-    assert _dumps(got) == _dumps(execute_spec(spec))
+    same = _dumps(got) == _dumps(execute_spec(spec))
+    assert same, "solo run: batched result diverged from the sequential path"
 
 
 def test_sweep_strategies_merge_to_identical_artifacts():
@@ -125,4 +127,5 @@ def test_sweep_strategies_merge_to_identical_artifacts():
     ))
     reference = json.dumps(sweep(specs, strategy="fork"), sort_keys=True)
     artifact = json.dumps(sweep(specs, strategy="batch"), sort_keys=True)
-    assert artifact == reference, "sweep artifact via batch differs from fork"
+    same = artifact == reference
+    assert same, "sweep artifact via batch differs from fork"

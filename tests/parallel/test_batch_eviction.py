@@ -103,7 +103,8 @@ class TestAdoptRefusal:
         assert runner.members[0].pooled is False
         runner.run()
         got = collect_result(spec, simulation)
-        assert _dumps(got) == _dumps(execute_spec(spec))
+        same = _dumps(got) == _dumps(execute_spec(spec))
+        assert same, "refused opaque member diverged from the sequential path"
 
     def test_python_engine_is_refused(self):
         simulation = build_simulation(_spec("py", engine="python"))
@@ -151,9 +152,8 @@ class TestStructuralEviction:
         assert runner.pool.evictions == [(victim, EVICT_STRUCTURAL)]
         for member in members:
             got = collect_result(member.spec, member.simulation)
-            assert _dumps(got) == _dumps(execute_spec(member.spec)), (
-                f"{member.spec.run_id} diverged after the eviction"
-            )
+            same = _dumps(got) == _dumps(execute_spec(member.spec))
+            assert same, f"{member.spec.run_id} diverged after the eviction"
 
     def test_single_member_eviction_drains_the_pool(self):
         spec = _spec("solo", duration=80.0)
@@ -166,7 +166,8 @@ class TestStructuralEviction:
         assert len(runner.pool) == 0
         runner.run()
         got = collect_result(spec, member.simulation)
-        assert _dumps(got) == _dumps(execute_spec(spec))
+        same = _dumps(got) == _dumps(execute_spec(spec))
+        assert same, "solo member diverged after draining the pool"
 
 
 class TestMixedSignatureGrids:
@@ -202,17 +203,19 @@ class TestMixedSignatureGrids:
         runner.run()
 
         for spec, sim in zip(specs[:2], sims[:2]):
-            assert _dumps(collect_result(spec, sim)) == _dumps(
+            same = _dumps(collect_result(spec, sim)) == _dumps(
                 execute_spec(spec)
             )
+            assert same, f"{spec.run_id} diverged from its solo run"
         ticks = int(round(specs[2].duration / twin.dt))
         for _ in range(ticks):
             twin.step()
         got = collect_result(specs[2], sims[2]).to_dict()
         want = collect_result(specs[2], twin).to_dict()
-        assert json.dumps(got["records"], sort_keys=True) == json.dumps(
+        same = json.dumps(got["records"], sort_keys=True) == json.dumps(
             want["records"], sort_keys=True
         )
+        assert same, "mixed: records diverged from the private-engine twin"
         assert got["summary"] == want["summary"]
 
 
@@ -253,4 +256,5 @@ class TestErrorEdges:
     def test_run_batch_on_one_spec_equals_execute_spec(self):
         spec = _spec("one", duration=90.0)
         (got,) = run_batch([spec])
-        assert _dumps(got) == _dumps(execute_spec(spec))
+        same = _dumps(got) == _dumps(execute_spec(spec))
+        assert same, "one: run_batch diverged from execute_spec"

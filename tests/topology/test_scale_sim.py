@@ -3,9 +3,11 @@
 import json
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 np = pytest.importorskip("numpy")
 
+from repro.cluster.tracegen import diurnal_shape_array
 from repro.errors import FiddleError, TopologyError
 from repro.telemetry import Telemetry, parse_prometheus
 from repro.topology import (
@@ -144,6 +146,74 @@ class TestOfferedRatesShape:
         before = sim.offered_rates(1000.0 - eps)
         after = sim.offered_rates(0.0)
         assert np.allclose(before, after, rtol=1e-5, atol=1e-5)
+
+
+class TestPhaseWrap:
+    """``offered_rates`` wraps each machine's time into one period
+    without ``fmod`` while it can; the result must be bitwise what
+    ``%`` gives, on the wrapped times and on the rates."""
+
+    @staticmethod
+    def wrapped_and_rates(sim, t):
+        seen = []
+
+        def shape(tt, duration, plateau):
+            seen.append(tt.copy())
+            return diurnal_shape_array(tt, duration, plateau)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr("repro.topology.sim.diurnal_shape_array", shape)
+            rates = sim.offered_rates(t)
+        (tt,) = seen
+        return tt, rates
+
+    @staticmethod
+    def reference(sim, t):
+        duration = sim.duration
+        tt = (t - sim.phases * duration) % duration
+        valley, peak = sim._valley_rate, sim._peak_rate
+        shape = diurnal_shape_array(tt, duration, sim._plateau)
+        return tt, valley + (peak - valley) * shape
+
+    def assert_bitwise(self, sim, t):
+        got_tt, got = self.wrapped_and_rates(sim, t)
+        want_tt, want = self.reference(sim, t)
+        assert np.array_equal(got_tt.view(np.int64), want_tt.view(np.int64)), t
+        assert np.array_equal(got.view(np.int64), want.view(np.int64)), t
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        duration=st.floats(min_value=1.0, max_value=1e6),
+        spread=st.floats(min_value=0.0, max_value=1.0),
+        seed=st.integers(min_value=0, max_value=2**20),
+        fractions=st.lists(
+            st.floats(min_value=0.0, max_value=3.0, exclude_max=True),
+            min_size=1, max_size=6,
+        ),
+    )
+    @example(duration=1000.0, spread=1.0, seed=2006,
+             fractions=[0.0, 0.999999, 1.0, 1.5, 2.0, 2.999999])
+    def test_matches_remainder_bitwise(self, duration, spread, seed,
+                                       fractions):
+        sim = ScaleSimulation(room(20, 2), duration=duration, policy="none",
+                              phase_spread=spread, phase_seed=seed)
+        for fraction in fractions:
+            self.assert_bitwise(sim, fraction * duration)
+
+    @pytest.mark.parametrize("spread", [0.0, 1.0])
+    def test_edges(self, spread):
+        """x == -duration and x == -0.0 (with no phase spread), the
+        period's end, and times past it, which fall back to ``%``."""
+        duration = 1000.0
+        sim = ScaleSimulation(room(20, 2), duration=duration, policy="none",
+                              phase_spread=spread)
+        for t in (-duration, -0.0, 0.0, np.nextafter(duration, 0.0),
+                  duration, 2.5 * duration):
+            self.assert_bitwise(sim, t)
+        if spread == 0.0:
+            for t in (-duration, -0.0):  # both wrap to +0.0, as % does
+                tt, _ = self.wrapped_and_rates(sim, t)
+                assert np.array_equal(tt.view(np.int64), np.zeros(20, np.int64))
 
 
 class TestCloning:

@@ -81,10 +81,10 @@ class TestBatchEviction:
         specs = specs_for()
         batch = sweep(specs, workers=1, strategy="batch")
         fork = sweep(specs, workers=1, strategy="fork")
-        assert (
-            json.dumps(batch, sort_keys=True)
-            == json.dumps(fork, sort_keys=True)
+        same = json.dumps(batch, sort_keys=True) == json.dumps(
+            fork, sort_keys=True
         )
+        assert same, "batched and fork sweep artifacts differ"
 
 
 class TestBatchedEdits:
