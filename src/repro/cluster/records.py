@@ -10,9 +10,11 @@ records only when they are read.
 
 The table is a read-only sequence of :class:`TickRecord` values, so
 callers index, slice, iterate and compare it as they would a list of
-records.  It is also the one serialiser of the records' wire form, the
-per-tick dicts that sweep artifacts and checkpoints carry
-(:meth:`RecordTable.to_dicts` / :meth:`RecordTable.from_dicts`).
+records.  Its columns are also the records' wire form, the one layout
+sweep artifacts and checkpoints carry: :meth:`RecordTable.to_columns`
+hands them out as a mapping of lists, and
+:meth:`RecordTable.from_columns` validates and copies such a mapping
+back into a table.  No per-tick dict is built either way.
 """
 
 from __future__ import annotations
@@ -171,82 +173,108 @@ class RecordTable(_SequenceABC):
 
     # -- wire form ---------------------------------------------------------
 
-    def to_dicts(self) -> List[Dict[str, object]]:
-        """Every record as a plain dict, built straight from the columns.
+    def to_columns(self) -> Dict[str, object]:
+        """The records' wire form: this table's own column lists.
 
-        The layout is the sweep artifact's and checkpoint's::
+        The layout sweep artifacts and checkpoints carry::
 
-            {"time", "offered_rate", "dropped_rate", "active_servers",
-             "servers": {machine: {<SERVER_FIELDS>}}}
+            {"time": [...], "offered_rate": [...], "dropped_rate": [...],
+             "active_servers": [...], "servers": {machine: {field: [...]}}}
+
+        with machines in simulation order and fields in
+        :data:`SERVER_FIELDS` order.  Nothing is copied, so the mapping
+        sees every later append; take it from a :meth:`copy` to freeze it.
         """
-        names = self.machines
-        # One pass over each server's columns, then one over the ticks.
-        # The literal keys are SERVER_FIELDS in order: a dict display
-        # builds each server dict about twice as fast as dict(zip(...)).
-        servers = [
-            [
-                {
-                    "state": state,
-                    "rate": rate,
-                    "cpu_utilization": cpu_utilization,
-                    "disk_utilization": disk_utilization,
-                    "connections": connections,
-                    "weight": weight,
-                    "connection_limit": connection_limit,
-                    "cpu_temperature": cpu_temperature,
-                    "disk_temperature": disk_temperature,
-                }
-                for (state, rate, cpu_utilization, disk_utilization,
-                     connections, weight, connection_limit, cpu_temperature,
-                     disk_temperature) in zip(*self.servers[name])
-            ]
-            for name in names
-        ]
-        return [
-            {
-                "time": time,
-                "offered_rate": offered,
-                "dropped_rate": dropped,
-                "active_servers": active,
-                "servers": dict(zip(names, row)),
-            }
-            for time, offered, dropped, active, *row in zip(
-                self.time, self.offered_rate, self.dropped_rate,
-                self.active_servers, *servers,
-            )
-        ]
+        return {
+            "time": self.time,
+            "offered_rate": self.offered_rate,
+            "dropped_rate": self.dropped_rate,
+            "active_servers": self.active_servers,
+            "servers": {
+                name: dict(zip(SERVER_FIELDS, columns))
+                for name, columns in self.servers.items()
+            },
+        }
 
     @classmethod
-    def from_dicts(
-        cls, machines: Sequence[str], records: Sequence[Mapping[str, object]]
-    ) -> "RecordTable":
-        """Rebuild a table from :meth:`to_dicts` output.
+    def from_columns(cls, machines: Sequence[str], data: object) -> "RecordTable":
+        """Rebuild a table from :meth:`to_columns` output, copying every
+        column.
 
-        Every record must carry exactly ``machines``, each with exactly
-        the :data:`SERVER_FIELDS`; anything else raises
-        :class:`~repro.errors.ClusterError`.
+        The whole layout is checked before the table is built: a mapping
+        with exactly the wire keys, ``servers`` naming exactly
+        ``machines`` with exactly the :data:`SERVER_FIELDS` each, every
+        column a list, all of one length, and numeric times, rates and
+        active counts.  Anything else raises
+        :class:`~repro.errors.ClusterError`.  Times and rates are cast to
+        float and active counts to int; server values are kept as stored.
         """
-        table = cls(machines)
-        expected = set(table.machines)
-        fields = set(SERVER_FIELDS)
-        for data in records:
-            servers = data["servers"]
-            if set(servers) != expected:
-                raise ClusterError(
-                    f"record at t={data['time']!r} has servers "
-                    f"{sorted(servers)}, expected {sorted(expected)}"
+        names = tuple(machines)
+        _check_keys("records", data, _WIRE_KEYS)
+        servers = data["servers"]
+        _check_keys("records servers", servers, names)
+        ticks = len(_check_column("records column 'time'", data["time"]))
+        cast = {}
+        for key, kind in _TICK_COLUMNS:
+            what = f"records column {key!r}"
+            column = _check_column(what, data[key], ticks)
+            try:
+                cast[key] = [kind(value) for value in column]
+            except (TypeError, ValueError, OverflowError):
+                raise ClusterError(f"{what} holds a non-numeric value") from None
+        for name in names:
+            fields = servers[name]
+            _check_keys(f"records fields of {name!r}", fields, SERVER_FIELDS)
+            for field in SERVER_FIELDS:
+                _check_column(
+                    f"records column {field!r} of {name!r}", fields[field],
+                    ticks,
                 )
-            for name, server in servers.items():
-                if set(server) != fields:
-                    raise ClusterError(
-                        f"record at t={data['time']!r} has server fields "
-                        f"{sorted(server)} for {name!r}, expected "
-                        f"{sorted(fields)}"
-                    )
-                for column, field in zip(table.servers[name], SERVER_FIELDS):
-                    column.append(server[field])
-            table.time.append(float(data["time"]))
-            table.offered_rate.append(float(data["offered_rate"]))
-            table.dropped_rate.append(float(data["dropped_rate"]))
-            table.active_servers.append(int(data["active_servers"]))
+        table = cls(names)
+        for key, values in cast.items():
+            setattr(table, key, values)
+        table.servers = {
+            name: tuple(list(servers[name][field]) for field in SERVER_FIELDS)
+            for name in names
+        }
         return table
+
+
+#: The wire form's keys, in order.
+_WIRE_KEYS = ("time", "offered_rate", "dropped_rate", "active_servers",
+              "servers")
+
+#: The cluster-wide columns and the type each value is read back as.
+_TICK_COLUMNS = (
+    ("time", float), ("offered_rate", float), ("dropped_rate", float),
+    ("active_servers", int),
+)
+
+
+def _check_keys(what: str, data: object, expected: Sequence[str]) -> None:
+    """Raise :class:`ClusterError` unless ``data`` is a mapping with
+    exactly the ``expected`` keys."""
+    if not isinstance(data, Mapping):
+        raise ClusterError(
+            f"{what} must be a mapping, not {type(data).__name__}"
+        )
+    missing = [key for key in expected if key not in data]
+    extra = sorted(map(repr, set(data) - set(expected)))
+    if missing or extra:
+        raise ClusterError(
+            f"{what}: missing {missing}, unexpected [{', '.join(extra)}]"
+        )
+
+
+def _check_column(what: str, column: object, ticks: Optional[int] = None):
+    """``column`` if it is a list of ``ticks`` values (any length when
+    ``ticks`` is None); otherwise raise :class:`ClusterError`."""
+    if not isinstance(column, list):
+        raise ClusterError(
+            f"{what} must be a list, not {type(column).__name__}"
+        )
+    if ticks is not None and len(column) != ticks:
+        raise ClusterError(
+            f"{what} has {len(column)} values for {ticks} ticks"
+        )
+    return column

@@ -1038,8 +1038,9 @@ class ClusterSimulation:
     #: Version 2 added the pending event queue (the kernel refactor);
     #: version 3 stores the traditional policy's own checkpoint (dead
     #: machines and shutdowns, no cadence clock); version 4 stores each
-    #: tempd's and the admd's own checkpoints.
-    CHECKPOINT_VERSION = 4
+    #: tempd's and the admd's own checkpoints; version 5 stores the
+    #: records as columns (:meth:`RecordTable.to_columns`).
+    CHECKPOINT_VERSION = 5
 
     def checkpoint(self) -> Dict[str, object]:
         """Snapshot the entire simulation as plain JSON-able data.
@@ -1138,7 +1139,8 @@ class ClusterSimulation:
             "admd": admd_state,
             "traditional": traditional_state,
             "governors": governor_state,
-            "records": self.records.to_dicts(),
+            # A copy, so the snapshot keeps its values as the run goes on.
+            "records": self.records.copy().to_columns(),
         }
         if self.cloning is not None:
             # Key present only when cloning is configured, so classic
@@ -1165,7 +1167,8 @@ class ClusterSimulation:
                 f"checkpoint policy {data['policy']!r} does not match "
                 f"simulation policy {self.policy!r}"
             )
-        records = RecordTable.from_dicts(self.machines, data["records"])
+        # Checked and copied before any state changes.
+        records = RecordTable.from_columns(self.machines, data.get("records"))
         self.solver.restore(data["solver"])
         self.injector.restore(data["injector"])
         self.watchdog.restore(data["watchdog"])

@@ -48,8 +48,11 @@ from ..telemetry import (
 )
 from .spec import RunResult, RunSpec
 
-#: Version tag of the merged sweep artifact layout.
-ARTIFACT_VERSION = 1
+#: Version tag of the merged sweep artifact layout.  Version 2 carries
+#: each run's records as columns (:meth:`RecordTable.to_columns
+#: <repro.cluster.records.RecordTable.to_columns>`); version 1 carried
+#: one dict per tick.
+ARTIFACT_VERSION = 2
 
 #: Metric families measuring *host* performance (wall-clock durations).
 #: Every other family is a pure function of the simulation and therefore
@@ -235,7 +238,7 @@ def collect_result(
             run_id=spec.run_id,
             spec=spec.to_dict(),
             summary=simulation.summary(),
-            records=[],
+            records={},
             registry=[
                 family
                 for family in dump_registry(simulation.telemetry.registry)
@@ -273,7 +276,8 @@ def collect_result(
         run_id=spec.run_id,
         spec=spec.to_dict(),
         summary=summary,
-        records=outcome.records.to_dicts(),
+        # The result's own copy of the columns: nothing else holds it.
+        records=outcome.records.to_columns(),
         registry=[
             family
             for family in dump_registry(simulation.telemetry.registry)

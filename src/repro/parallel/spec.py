@@ -22,7 +22,7 @@ sweep artifact, and be re-expanded bit-for-bit by a later process.
 from __future__ import annotations
 
 import itertools
-from dataclasses import asdict, dataclass, fields
+from dataclasses import MISSING, asdict, dataclass, fields
 from typing import Dict, List, Mapping, Optional, Sequence
 
 from ..cluster.scenarios import scenario_names
@@ -169,12 +169,8 @@ class RunSpec:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, object]) -> "RunSpec":
-        """Inverse of :meth:`to_dict`; rejects unknown fields."""
-        allowed = {f.name for f in fields(cls)}
-        unknown = sorted(set(data) - allowed)
-        if unknown:
-            raise SweepError(f"unknown RunSpec field(s): {unknown}")
-        return cls(**data)  # type: ignore[arg-type]
+        """Inverse of :meth:`to_dict`; rejects unknown or missing fields."""
+        return _from_fields(cls, data)
 
 
 @dataclass
@@ -190,8 +186,11 @@ class RunResult:
     spec: Dict[str, object]
     #: Scalar outcome summary (drop fraction, peaks, event counts).
     summary: Dict[str, object]
-    #: Per-tick records as plain dicts (ClusterSimulation wire form).
-    records: List[dict]
+    #: Per-tick records as columns, the wire form of
+    #: :meth:`RecordTable.to_columns
+    #: <repro.cluster.records.RecordTable.to_columns>`; ``{}`` for a
+    #: scale-stack run, which records no ticks.
+    records: Dict[str, object]
     #: dump_registry() payload of the run's whole-run telemetry.
     registry: List[dict]
     #: True when the run was resumed from a checkpoint after a worker
@@ -202,7 +201,7 @@ class RunResult:
         """Wire/artifact form of the result.
 
         Every field is already plain data, so this is a shallow
-        conversion: the per-tick record and registry entries are shared
+        conversion: the record columns and registry entries are shared
         with the result object, not deep-copied (``dataclasses.asdict``
         recursed through every one of them, which dominated sweep
         merge time).  Treat the returned payload as frozen.
@@ -211,18 +210,31 @@ class RunResult:
             "run_id": self.run_id,
             "spec": dict(self.spec),
             "summary": dict(self.summary),
-            "records": list(self.records),
+            "records": dict(self.records),
             "registry": list(self.registry),
             "resumed": self.resumed,
         }
 
     @classmethod
     def from_dict(cls, data: Mapping[str, object]) -> "RunResult":
-        allowed = {f.name for f in fields(cls)}
-        unknown = sorted(set(data) - allowed)
-        if unknown:
-            raise SweepError(f"unknown RunResult field(s): {unknown}")
-        return cls(**data)  # type: ignore[arg-type]
+        """Inverse of :meth:`to_dict`; rejects unknown or missing fields."""
+        return _from_fields(cls, data)
+
+
+def _from_fields(cls, data: Mapping[str, object]):
+    """Build dataclass ``cls`` from ``data``, raising :class:`SweepError`
+    that names any unknown field or missing required field."""
+    unknown = sorted(set(data) - {f.name for f in fields(cls)})
+    if unknown:
+        raise SweepError(f"unknown {cls.__name__} field(s): {unknown}")
+    missing = [
+        f.name for f in fields(cls)
+        if f.default is MISSING and f.default_factory is MISSING
+        and f.name not in data
+    ]
+    if missing:
+        raise SweepError(f"missing {cls.__name__} field(s): {missing}")
+    return cls(**data)
 
 
 def _format_axis_value(value: object) -> str:

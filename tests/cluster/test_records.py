@@ -3,8 +3,9 @@
 The per-tick recorder, its dict serialiser and the ``SimulationResult``
 helpers that read a list of :class:`TickRecord` values are frozen below
 as oracles.  Each run is recorded both ways, tick by tick, and the
-table must agree with the oracle exactly: as records, as wire dicts
-(key order included), and through every result helper.
+table must agree with the oracle exactly: as records, as wire columns
+(key order included, each column equal value by value to the frozen
+serialiser's dicts), and through every result helper.
 """
 
 import json
@@ -191,31 +192,50 @@ def test_records_match_the_frozen_recorder(recorded):
     assert list(first.servers) == sim.machines
 
 
-def _assert_same_dumps(dicts, frozen):
-    """Equal records with equal key order, so unsorted dumps (the
-    checkpoint's) keep their bytes.  Compared per record: a failing
-    comparison of one multi-megabyte string takes pytest minutes to
-    explain."""
-    assert len(dicts) == len(frozen)
-    for mine, theirs in zip(dicts, frozen):
-        assert json.dumps(mine) == json.dumps(theirs)
+#: The wire form's keys, in order.
+_WIRE_KEYS = ["time", "offered_rate", "dropped_rate", "active_servers",
+              "servers"]
+
+
+def _assert_same_column(mine, theirs, label):
+    """Equal values of equal types, so the column dumps to the same
+    JSON.  Compared into a bool first: pytest explaining a failed
+    comparison of two long strings takes minutes."""
+    same = len(mine) == len(theirs) and json.dumps(mine) == json.dumps(theirs)
+    assert same, f"column {label} differs from the frozen serialiser"
 
 
 def test_dicts_match_the_frozen_serialiser(recorded):
+    """The wire columns (the live table's and a checkpoint's) hold, tick
+    by tick, the values of the frozen serialiser's per-tick dicts."""
     _, sim, oracle = recorded
     frozen = [frozen_record_to_dict(r) for r in oracle]
-    dicts = sim.records.to_dicts()
-    assert dicts == frozen
-    _assert_same_dumps(dicts, frozen)
-    _assert_same_dumps(sim.checkpoint()["records"], frozen)
+    for columns in (sim.records.to_columns(), sim.checkpoint()["records"]):
+        assert list(columns) == _WIRE_KEYS
+        assert list(columns["servers"]) == sim.machines
+        for key in _WIRE_KEYS[:-1]:
+            _assert_same_column(
+                columns[key], [record[key] for record in frozen], key
+            )
+        for name, fields in columns["servers"].items():
+            assert list(fields) == list(_FROZEN_SERVER_FIELDS)
+            for field, column in fields.items():
+                _assert_same_column(
+                    column,
+                    [record["servers"][name][field] for record in frozen],
+                    f"{name}.{field}",
+                )
 
 
 def test_dicts_round_trip_through_json(recorded):
+    """The wire columns survive JSON: the rebuilt table equals the live
+    one and the oracle, and dumps to the same bytes."""
     _, sim, oracle = recorded
-    wire = json.loads(json.dumps(sim.records.to_dicts()))
-    table = RecordTable.from_dicts(sim.machines, wire)
+    text = json.dumps(sim.records.to_columns())
+    table = RecordTable.from_columns(sim.machines, json.loads(text))
     assert table == sim.records
     assert table == oracle
+    assert json.dumps(table.to_columns()) == text
     # One server value apart is unequal, as a list of records would be.
     table.column(sim.machines[-1], "weight")[-1] += 1.0
     assert table != sim.records
@@ -290,23 +310,98 @@ def test_result_is_a_snapshot():
     assert resumed.records == sim.records
 
 
+def _records(state):
+    return state["records"]
+
+
+def _servers(state):
+    return state["records"]["servers"]
+
+
+#: Malformed record sets: (what the error names, an edit of a JSON
+#: checkpoint).
+MALFORMED_RECORDS = [
+    ("mapping", lambda s: s.pop("records")),
+    ("mapping", lambda s: s.update(records=None)),
+    ("mapping", lambda s: s.update(records=[{"time": 0.0, "servers": {}}])),
+    ("missing", lambda s: _records(s).pop("time")),
+    ("missing", lambda s: _records(s).pop("servers")),
+    ("unexpected", lambda s: _records(s).update(power=[0.0] * 5)),
+    ("mapping", lambda s: _records(s).update(servers=None)),
+    ("mapping", lambda s: _records(s).update(servers=[])),
+    ("missing", lambda s: _servers(s).pop("machine3")),
+    ("unexpected", lambda s: _servers(s).update(
+        machine9=_servers(s)["machine1"])),
+    ("mapping", lambda s: _servers(s).update(machine2=None)),
+    ("missing", lambda s: _servers(s)["machine1"].pop("weight")),
+    ("unexpected", lambda s: _servers(s)["machine4"].update(
+        power=[0.0] * 5)),
+    ("list", lambda s: _records(s).update(time="x")),
+    ("list", lambda s: _records(s).update(active_servers=None)),
+    ("list", lambda s: _servers(s)["machine2"].update(rate=1.0)),
+    ("list", lambda s: _servers(s)["machine2"].update(
+        state=tuple(_servers(s)["machine2"]["state"]))),
+    ("values", lambda s: _records(s)["dropped_rate"].pop()),
+    ("values", lambda s: _records(s)["time"].append(5.0)),
+    ("values", lambda s: _servers(s)["machine4"]["cpu_temperature"].pop()),
+    ("values", lambda s: _servers(s)["machine1"]["connection_limit"]
+     .append(None)),
+    ("non-numeric", lambda s: _records(s)["time"].__setitem__(0, "x")),
+    ("non-numeric", lambda s: _records(s)["offered_rate"].__setitem__(
+        1, None)),
+    ("non-numeric", lambda s: _records(s)["dropped_rate"].__setitem__(
+        2, [0.0])),
+    ("non-numeric", lambda s: _records(s)["active_servers"].__setitem__(
+        3, "four")),
+    ("non-numeric", lambda s: _records(s)["active_servers"].__setitem__(
+        4, float("inf"))),
+]
+
+
 def test_restore_rejects_mismatched_records_before_changing_state():
+    """Every malformed record set raises ClusterError before the
+    restore changes anything."""
     sim = ClusterSimulation(policy="freon")
     sim.run(5)
-    state = json.loads(json.dumps(sim.checkpoint()))
-    del state["records"][2]["servers"]["machine3"]
+    text = json.dumps(sim.checkpoint())
     target = ClusterSimulation(policy="freon")
     target.run(2)
-    with pytest.raises(ClusterError, match="servers"):
-        target.apply_checkpoint(state)
-    assert target.time == 2.0
-    assert len(target.records) == 2
+    before = target.records.copy()
+    for expected, edit in MALFORMED_RECORDS:
+        state = json.loads(text)
+        edit(state)
+        with pytest.raises(ClusterError, match=expected):
+            target.apply_checkpoint(state)
+        assert target.time == 2.0
+        assert len(target.records) == 2
+    assert target.records == before
 
-    state = json.loads(json.dumps(sim.checkpoint()))
-    del state["records"][0]["servers"]["machine1"]["weight"]
-    with pytest.raises(ClusterError, match="fields"):
-        target.apply_checkpoint(state)
-    assert len(target.records) == 2
+
+def test_checkpoint_records_are_copies():
+    """A checkpoint keeps its records as the run goes on, and a restored
+    run keeps its records when the checkpoint is edited afterwards."""
+    sim = ClusterSimulation(policy="freon", fiddle_script=emergency_script())
+    sim.run(10)
+    state = sim.checkpoint()
+    text = json.dumps(state)
+    sim.run(5)
+    assert json.dumps(state) == text
+
+    target = ClusterSimulation(
+        policy="freon", fiddle_script=emergency_script()
+    )
+    target.apply_checkpoint(state)
+    restored = target.records.copy()
+    records = state["records"]
+    for key in ("time", "offered_rate", "dropped_rate", "active_servers"):
+        records[key][0] = -1
+        records[key].append(-1)
+    for fields in records["servers"].values():
+        for column in fields.values():
+            column[0] = "edited"
+            column.append("edited")
+    assert target.records == restored
+    assert len(target.records) == 10
 
 
 def test_step_over_several_ticks_returns_the_last_record():

@@ -19,6 +19,7 @@ from .sweep import (
     digest,
     generate_artifact,
     golden_payload,
+    v1_artifact,
 )
 from .traces import GOLDEN_DIR
 
@@ -51,4 +52,10 @@ def test_strategy_reproduces_golden_artifact(strategy, stored):
         f"the golden thresholds sweep (summaries match, so the drift is "
         f"in records or telemetry); if intentional, regenerate with "
         f"'PYTHONPATH=src python -m tests.golden.regen'"
+    )
+    # The same records as version 1's per-tick dicts: the digest pinned
+    # before the columnar layout.
+    assert digest(v1_artifact(artifact)) == stored["sha256_v1"], (
+        f"strategy {strategy!r}: the version 1 expansion of the artifact "
+        f"differs from the pinned version 1 digest"
     )

@@ -39,10 +39,6 @@ def _temperatures(simulation):
     }
 
 
-def _record_dicts(simulation):
-    return simulation.records.to_dicts()
-
-
 class TestCheckpointRestore:
     #: Split point and horizon; crosses the t=480 emergency and the
     #: t=1060 tempd crash, so the resumed half replays real activity.
@@ -69,7 +65,7 @@ class TestCheckpointRestore:
         _run(second, self.END - self.SPLIT)
 
         assert _temperatures(second) == _temperatures(golden)
-        assert _record_dicts(second) == _record_dicts(golden)
+        assert second.records == golden.records
         assert second.result().fault_log == golden.result().fault_log
         assert second.result().adjustments == golden.result().adjustments
 
@@ -85,7 +81,7 @@ class TestCheckpointRestore:
         _run(second, self.END - self.SPLIT)
 
         assert _temperatures(second) == _temperatures(golden)
-        assert _record_dicts(second) == _record_dicts(golden)
+        assert second.records == golden.records
 
     def test_restore_preserves_the_rng_stream(self):
         # Two sims checkpointed at the same tick draw identical fault
@@ -122,7 +118,7 @@ class TestCheckpointRestore:
         _run(second, 150)
 
         assert _temperatures(second) == _temperatures(golden)
-        assert _record_dicts(second) == _record_dicts(golden)
+        assert second.records == golden.records
         assert second.result().adjustments == golden.result().adjustments
         assert (
             second.kernel.checkpoint()["events"]
@@ -132,9 +128,11 @@ class TestCheckpointRestore:
     def test_version_mismatch_rejected(self):
         simulation = _chaos_simulation()
         state = simulation.checkpoint()
-        state["version"] = 999
-        with pytest.raises(ClusterError, match="version"):
-            simulation.apply_checkpoint(state)
+        # 4 is the layout before the record columns.
+        for version in (4, 999):
+            state["version"] = version
+            with pytest.raises(ClusterError, match="version"):
+                simulation.apply_checkpoint(state)
 
     def test_policy_mismatch_rejected(self):
         simulation = _chaos_simulation()

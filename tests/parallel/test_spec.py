@@ -71,13 +71,23 @@ class TestRunResult:
     def test_round_trip(self):
         result = RunResult(
             run_id="r", spec={"run_id": "r"}, summary={"drop_fraction": 0.0},
-            records=[], registry=[], resumed=True,
+            records={}, registry=[], resumed=True,
         )
         assert RunResult.from_dict(result.to_dict()) == result
 
     def test_rejects_unknown_fields(self):
         with pytest.raises(SweepError, match="unknown RunResult field"):
             RunResult.from_dict({"run_id": "r", "oops": 1})
+
+    def test_rejects_missing_fields(self):
+        with pytest.raises(
+            SweepError,
+            match=r"missing RunResult field\(s\): "
+                  r"\['spec', 'summary', 'records', 'registry'\]",
+        ):
+            RunResult.from_dict({"run_id": "r"})
+        with pytest.raises(SweepError, match=r"missing RunSpec .*'run_id'"):
+            RunSpec.from_dict({"policy": "freon"})
 
 
 class TestExpandGrid:
